@@ -15,9 +15,13 @@ over the base scalars, the "dr" side uses fiber forms at a chosen point.
 
 Everything splits over the weight grading (weight of a Z monomial is -j,
 of a W monomial +j; all the structure maps are weight-homogeneous), which
-keeps the linear algebra per weight block small. Ranks on the hk side go
-through exact integer elimination since the differentials have integer
-matrices.
+keeps the linear algebra per weight block small.
+
+On the hk side every structure constant of D is a small integer, so its
+matrix between two block bases is a fixed stencil: hk_D_rows writes it
+straight from the basis keys, for the exact integer ranks and (lifted into
+the scalars) for class solving. operator_int_rows, which applies cech_D to
+every basis cochain, is kept as the oracle the stencil is tested against.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from .errors import (AmbiguousSolve, ChartMismatch, NotACoboundary, NotInSpan,
                      TaintedWindow)
 from .field import FieldDescriptor, KElement
 from .kimhain import UForm
-from .linalg import (PrecMatrix, int_kernel_sparse, int_rank_sparse, rank_at,
-                     row_reduce, solve)
+from .linalg import (PrecMatrix, _solve_echelon, int_kernel_sparse,
+                     int_rank_sparse, rank_at, solve)
 
 # form degree of the Z-part and W-part of a cochain of each total degree
 _ZDEG = {0: 0, 1: 1, 2: 2, 3: None}
@@ -449,6 +453,76 @@ def operator_int_rows(src: BlockIndex, tgt: BlockIndex, op):
     return rows, tainted
 
 
+# slot images (target slot, coefficient) of the twist restriction per form
+# degree: dlog v -> -dlog w, dlog w -> dlog v + 2 dlog w, and +1 on the top
+_TWIST_SLOTS = {0: {0: ((0, 1),)},
+                1: {0: ((1, -1),), 1: ((0, 1), (1, 2))},
+                2: {0: ((0, 1),)}}
+
+
+def hk_D_rows(src: BlockIndex, tgt: BlockIndex):
+    """Sparse integer rows of the hk total differential between block bases.
+
+    Written straight from the basis keys (wt, part, n, i, u, slot), with
+    the rules of charts.py and kimhain.py: the chart d multiplies by the
+    v, w exponents (a, b); the u-tail adds -+(omega ^ dlog s) u^[k-1]; the
+    overlap map shifts indices along nat and twist, entering degree 2 with
+    sign -1. Returns (rows, tainted) exactly as operator_int_rows(src, tgt,
+    cech_D) does: an entry beyond the S window is dropped and sets tainted."""
+    spec = src.spec
+    if spec.side != "hk" or tgt.spec != spec or tgt.degree != src.degree + 1:
+        raise ChartMismatch("hk differential needs consecutive hk block indices")
+    r, S, degree = spec.r, spec.S, src.degree
+    overlap = -1 if degree == 1 else 1
+    pos = tgt.pos
+    rows = [{} for _ in range(len(tgt))]
+    tainted = False
+    for col, (wt, part, n, i, u, slot) in enumerate(src.keys):
+        fdeg = degree if part == "Z" else degree - 1
+        if part == "Z":
+            j = -wt
+            a, b = i + max(j, 0), i + max(-j, 0)
+        else:
+            j = wt
+            a, b = i, i + j
+        # (part, n, i, u, slot, coefficient) of the image, all of weight wt
+        terms = []
+        if fdeg == 0:
+            terms += [(part, n, i, u, 0, a), (part, n, i, u, 1, b)]
+            if u:
+                terms += [(part, n, i, u - 1, 0, -1), (part, n, i, u - 1, 1, -1)]
+        elif fdeg == 1:
+            terms.append((part, n, i, u, 0, -b if slot == 0 else a))
+            if u:
+                terms.append((part, n, i, u - 1, 0, 1 if slot == 0 else -1))
+        if part == "Z":
+            # nat sends v^a w^b to s^a w^-j, twist to s^b w^-j
+            if a > S:
+                tainted = True
+            else:
+                terms.append(("W", n, a, u, slot, overlap if n == r else -overlap))
+            if b > S:
+                tainted = True
+            else:
+                tw_n, tw_sign = (n - 1, overlap) if n > 1 else (r, -overlap)
+                for tslot, c in _TWIST_SLOTS[fdeg][slot]:
+                    terms.append(("W", tw_n, b, u, tslot, tw_sign * c))
+        for tpart, tn, ti, tu, tslot, c in terms:
+            if not c:
+                continue
+            key = (wt, tpart, tn, ti, tu, tslot)
+            row = pos.get(key)
+            if row is None:
+                raise ChartMismatch(
+                    f"coefficient at {key} falls outside the block index")
+            cur = rows[row].get(col, 0) + c
+            if cur:
+                rows[row][col] = cur
+            else:
+                del rows[row][col]
+    return rows, tainted
+
+
 def _block_h_direct(spec: CechSpec, wt: int, floor_pi: int):
     """Naive per-weight ranks of the truncated complex (one weight block)."""
     idx = {d: BlockIndex(spec, d, [wt]) for d in range(4)}
@@ -462,16 +536,12 @@ def _block_h_direct(spec: CechSpec, wt: int, floor_pi: int):
             introws[d] = [{} for _ in range(dims[d + 1])]
             continue
         if spec.side == "hk":
-            rows, t = operator_int_rows(idx[d], idx[d + 1], cech_D)
-            tainted = tainted or t
-            if rows is not None:
-                introws[d] = rows
-                ranks[d] = int_rank_sparse(rows, dims[d])
-                continue
-        mat, t = operator_matrix(idx[d], idx[d + 1], cech_D)
+            introws[d], t = hk_D_rows(idx[d], idx[d + 1])
+            ranks[d] = int_rank_sparse(introws[d], dims[d])
+        else:
+            mat, t = operator_matrix(idx[d], idx[d + 1], cech_D)
+            ranks[d] = rank_at(mat, floor_pi)
         tainted = tainted or t
-        introws[d] = None
-        ranks[d] = rank_at(mat, floor_pi)
     h = {
         0: dims[0] - ranks[0],
         1: dims[1] - ranks[1] - ranks[0],
@@ -492,7 +562,7 @@ def _block_h_stable(spec: CechSpec, wt: int, degree: int, idx, introws) -> int:
     dim_k = len(idx[degree])
     if not dim_k:
         return 0
-    if degree < 3 and introws[degree] is not None and len(idx[degree + 1]):
+    if degree < 3 and len(idx[degree + 1]):
         kernel = int_kernel_sparse(introws[degree], dim_k)
     else:
         kernel = [{k: 1} for k in range(dim_k)]
@@ -503,9 +573,7 @@ def _block_h_stable(spec: CechSpec, wt: int, degree: int, idx, introws) -> int:
     nb = 0
     if degree > 0:
         src = BlockIndex(big, degree - 1, [wt])
-        rows, _ = operator_int_rows(src, tgt, cech_D)
-        if rows is None:
-            raise TaintedWindow("stable rank needs integer differentials")
+        rows, _ = hk_D_rows(src, tgt)
         nb = len(src)
     else:
         rows = [{} for _ in range(len(tgt))]
@@ -570,9 +638,18 @@ def _solve_setup(target: CechCochain, classes, extra_weights=()):
     else:
         src = BlockIndex(spec, target.degree - 1, weights)
         nsrc = len(src)
-        mat, tainted = operator_matrix(src, tgt, cech_D)
         full = PrecMatrix(spec.field, len(tgt), nsrc + len(classes))
-        full.rows = [dict(row) for row in mat.rows]
+        if spec.side == "hk":
+            introws, tainted = hk_D_rows(src, tgt)
+            lifted = {}
+            for row, irow in zip(full.rows, introws):
+                for col, m in irow.items():
+                    if m not in lifted:
+                        lifted[m] = spec.field.from_int(m)
+                    row[col] = lifted[m]
+        else:
+            mat, tainted = operator_matrix(src, tgt, cech_D)
+            full.rows = mat.rows
     for t, cl in enumerate(classes):
         tainted = tainted or cl.overflow
         for row, coeff in tgt.vector(cl).items():
@@ -594,13 +671,12 @@ def express_in_classes(target: CechCochain, classes, floor_pi: int,
         raise TaintedWindow("window overflow while forming the class system")
     nsrc = 0 if src is None else len(src)
     b = tgt.vector(target)
-    sol = solve(full, b, floor_pi)
+    sol, res = _solve_echelon(full, b, floor_pi)
     if sol is None:
         raise NotInSpan("target is certified outside the span of the classes "
                         "modulo coboundaries")
     # coordinates are canonical only if every class column earns a pivot
     # after the coboundary columns (independence modulo the image of D)
-    res = row_reduce(full)
     res.rank_at(floor_pi)
     class_pivots = sum(1 for _, c in res.pivots if c >= nsrc)
     if class_pivots < len(classes):

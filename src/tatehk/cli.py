@@ -94,8 +94,8 @@ def _cmd_tate(args) -> int:
 
 
 def _cmd_log(args) -> int:
-    ctx = PadicContext(args.p, args.prec)
     try:
+        ctx = PadicContext(args.p, args.prec)
         field = parse_eisenstein(args.field, ctx) if args.field \
             else FieldDescriptor.base(ctx)
         branch = branch_from_spec(field, args.q)

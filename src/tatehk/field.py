@@ -244,6 +244,13 @@ class KElement:
 
     def inverse(self) -> "KElement":
         a = self.ord_pi()
+        if self.field.e == 1:
+            # one p-adic division is already exact; Newton would be the identity
+            return self.field.embed_scalar(1 / self.coeffs[0])
+        return self._inverse_newton(a)
+
+    def _inverse_newton(self, a: int) -> "KElement":
+        """Inverse of an element of pi-adic valuation a by Newton iteration."""
         fld = self.field
         u = self
         if a != 0:

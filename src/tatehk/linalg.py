@@ -212,6 +212,14 @@ def solve(a: PrecMatrix, b: dict, floor_pi: int):
     b is a sparse dict row-index -> KElement. Consistency is decided at the
     pi-adic floor; an undecidable residual raises AmbiguousSolve.
     """
+    return _solve_echelon(a, b, floor_pi)[0]
+
+
+def _solve_echelon(a: PrecMatrix, b: dict, floor_pi: int):
+    """(solve(a, b, floor_pi), echelon of the elimination that decided it).
+
+    Pivot choice in a column never looks at the b column, so the echelon
+    has the pivots and ambiguity of row_reduce(a) without a second pass."""
     aug = PrecMatrix(a.field, a.nrows, a.ncols + 1,
                      [dict(r) for r in a.rows])
     for i, v in b.items():
@@ -228,7 +236,7 @@ def solve(a: PrecMatrix, b: dict, floor_pi: int):
         if v.is_zero_at(floor_pi):
             continue
         if v.ord_pi_or_none() is not None:
-            return None  # certified obstruction: residual valuation below floor
+            return None, res  # certified obstruction: residual valuation below floor
         raise AmbiguousSolve(
             f"residual zero only at O(pi^{v.cert_prec_pi()}) < floor {floor_pi}")
     x: dict = {}
@@ -236,7 +244,7 @@ def solve(a: PrecMatrix, b: dict, floor_pi: int):
         v = res.echelon.rows[i].get(a.ncols)
         if v is not None:
             x[col] = v  # pivot is scaled to 1, free variables set to zero
-    return x
+    return x, res
 
 
 def kernel_basis(a: PrecMatrix, floor_pi: int) -> list:

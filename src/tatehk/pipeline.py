@@ -34,27 +34,19 @@ from .plog import LogBranch, branch_from_spec
 _VERSION = "0.1.0"
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 class JobSpec:
-    """Parameters of one run; windows default to S = T = 2p + 2, U = 3."""
+    """Parameters of one run; windows default to S = T = 2p + 2, U = 3.
 
-    __slots__ = ("p", "prec", "r", "eisenstein", "q", "S", "T", "U", "slack")
+    The p-adic context, the ground field and the log branch are built here,
+    so that bad input fails with ValueError before any work starts."""
+
+    __slots__ = ("p", "prec", "r", "eisenstein", "q", "S", "T", "U", "slack",
+                 "ctx", "field", "branch")
 
     def __init__(self, p: int, prec: int, r: int, eisenstein: str | None = None,
                  q: str = "pi", S: int | None = None, T: int | None = None,
                  U: int = 3, slack: int = 5):
-        if not _is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
+        ctx = PadicContext(p, prec)
         if prec < 8:
             raise ValueError("working precision below 8 leaves no room to certify")
         if r < 1:
@@ -71,6 +63,10 @@ class JobSpec:
         if self.T < p or self.S < p:
             raise ValueError("windows must at least contain the Frobenius image "
                              "of the class monomials")
+        self.ctx = ctx
+        self.field = parse_eisenstein(eisenstein, ctx) if eisenstein \
+            else FieldDescriptor.base(ctx)
+        self.branch = branch_from_spec(self.field, q)
 
     def resized(self, S, T, U) -> "JobSpec":
         return JobSpec(self.p, self.prec, self.r, self.eisenstein, self.q,
@@ -138,17 +134,15 @@ def fiber_one_form_lines(dr: CechSpec, classes, floor_pi: int):
 
 
 def compute_tate(job: JobSpec) -> TateComputation:
-    ctx = PadicContext(job.p, job.prec)
-    field = parse_eisenstein(job.eisenstein, ctx) if job.eisenstein \
-        else FieldDescriptor.base(ctx)
-    base = FieldDescriptor.base(ctx)
+    field = job.field
+    base = FieldDescriptor.base(job.ctx)
     out = TateComputation()
     out.job = job
     out.field = field
     out.base = base
     out.hk = CechSpec(job.r, "hk", base, job.S, job.T, job.U)
     out.dr = CechSpec(job.r, "dr", field, job.S, job.T, 0, point=field.pi())
-    out.branch = branch_from_spec(field, job.q)
+    out.branch = job.branch
     out.lam = -out.branch.log_pi()
     floor_b = job.prec - job.slack
     floor_k = field.e * (job.prec - job.slack)

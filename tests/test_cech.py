@@ -9,8 +9,8 @@ from tatehk.cech import (BlockIndex, CechCochain, CechSpec, cech_D,
                          cech_frobenius, cech_N, cech_partial, cech_psi,
                          class_e1, class_e2, coboundary_witness,
                          cochain_weights, express_in_classes, h_ranks,
-                         operator_int_rows, operator_matrix, top_class,
-                         unit_class)
+                         hk_D_rows, operator_int_rows, operator_matrix,
+                         top_class, unit_class, _solve_setup)
 from tatehk.errors import (AmbiguousSolve, ChartMismatch, NotACoboundary,
                            NotInSpan, TaintedWindow)
 from tatehk.field import FieldDescriptor, parse_eisenstein
@@ -226,3 +226,35 @@ def test_integer_and_padic_operator_matrices_agree():
         for i in range(len(tgt)):
             for j in range(len(src)):
                 assert rows[i].get(j, 0) == lift_int(mat.entry(i, j))
+    # the stencil equals cech_D applied to every basis cochain, rows and
+    # tainted flag, on every (degree, weight) block; S = T = p overflows
+    narrow = hk_spec(2, S=3, T=3)
+    for spec in [hk_spec(r, S=5, T=5, U=U) for r in (1, 2, 3) for U in (3, 5)] \
+            + [narrow]:
+        tainted = {}
+        for wt in range(-spec.T, spec.T + 1):
+            idx = [BlockIndex(spec, d, [wt]) for d in range(4)]
+            for d in range(3):
+                rows, t = hk_D_rows(idx[d], idx[d + 1])
+                assert (rows, t) == operator_int_rows(idx[d], idx[d + 1], cech_D)
+                tainted[wt] = tainted.get(wt, False) or t
+                if spec.r == 1 and wt == 0 and d == 0:
+                    # nat and twist of a constant cancel on the one W chart
+                    col = idx[0].pos[(0, "Z", 1, 0, 0, 0)]
+                    assert not any(col in row for row in rows)
+        assert not tainted[0] and any(tainted.values())
+    # lifted into the scalars, the stencil is the coboundary matrix that
+    # operator_matrix builds, entry by entry and at the same precision
+    for r in (1, 3):
+        spec = hk_spec(r)
+        e1, e2 = class_e1(spec), class_e2(spec)
+        for target, classes in ((cech_frobenius(e2), [e1, e2]),
+                                (cech_frobenius(top_class(spec)), [top_class(spec)])):
+            src, tgt, full, _ = _solve_setup(target, classes)
+            mat, _ = operator_matrix(src, tgt, cech_D)
+            for lifted, row in zip(full.rows, mat.rows):
+                coboundary = {c: v for c, v in lifted.items() if c < len(src)}
+                assert coboundary.keys() == row.keys()
+                for c, v in row.items():
+                    assert (coboundary[c] - v).is_zero_at(CAP)
+                    assert coboundary[c].cert_prec_pi() == v.cert_prec_pi()

@@ -96,3 +96,33 @@ def test_bad_value_exits_two(capsys):
     code = main(["tate", "--p", "4", "--r", "1"])
     assert code == 2
     assert "p" in capsys.readouterr().err
+
+
+def _exits_two_with_one_line(argv, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+def test_log_composite_prime_exits_two(capsys):
+    err = _exits_two_with_one_line(["log", "--p", "4"], capsys)
+    assert "prime" in err
+
+
+def test_log_nonpositive_precision_exits_two(capsys):
+    err = _exits_two_with_one_line(["log", "--p", "5", "--prec", "0"], capsys)
+    assert "prec" in err
+
+
+def test_tate_non_eisenstein_polynomial_exits_two(capsys):
+    err = _exits_two_with_one_line(
+        ["tate", "--p", "5", "--r", "1", "--eisenstein", "s^2-3"], capsys)
+    assert "valuation" in err
+
+
+def test_tate_unit_branch_point_exits_two(capsys):
+    err = _exits_two_with_one_line(
+        ["tate", "--p", "5", "--r", "1", "--q", "1+p"], capsys)
+    assert "branch point" in err

@@ -7,9 +7,9 @@ import pytest
 
 from tatehk.errors import AmbiguousSolve
 from tatehk.field import FieldDescriptor, parse_eisenstein
-from tatehk.linalg import (PrecMatrix, int_rank_sparse, kernel_basis, rank_at,
-                           row_reduce, solve)
-from tatehk.padic import PadicContext
+from tatehk.linalg import (PrecMatrix, _solve_echelon, int_rank_sparse,
+                           kernel_basis, rank_at, row_reduce, solve)
+from tatehk.padic import PadicContext, PadicScalar
 
 
 # -- oracle: plain Fraction Gaussian elimination, no package code ---------------
@@ -115,6 +115,39 @@ def test_solve_ambiguous_raises():
     b = {0: QP.from_int(1), 1: low}
     with pytest.raises(AmbiguousSolve):
         solve(m, b, 15)
+
+
+def test_solve_echelon_matches_row_reduce():
+    """The echelon that comes with a solution has the pivots and ambiguity of
+    row_reduce on the matrix alone, so class solving eliminates once."""
+    rng = random.Random(37)
+    seen_ambiguity = seen_obstruction = 0
+    for fld in (QP, RAM):
+        for _ in range(40):
+            nrows, ncols = rng.randint(2, 6), rng.randint(2, 6)
+            m = PrecMatrix.from_rows(fld, random_int_matrix(rng, nrows, ncols))
+            # numerically-zero columns: entries known only to O(p^k)
+            for col in rng.sample(range(ncols), rng.randint(0, 2)):
+                for i in range(nrows):
+                    if rng.random() < 0.6:
+                        m.rows[i][col] = fld.embed_scalar(
+                            PadicScalar.zero(CTX, rng.randint(3, 14)))
+                    else:
+                        m.rows[i].pop(col, None)
+            b = {i: fld.from_int(rng.randint(-9, 9)) for i in range(nrows)
+                 if rng.random() < 0.7}
+            sol, res = _solve_echelon(m, b, 1)
+            ref = row_reduce(m)
+            assert res.pivots == ref.pivots
+            assert res.ambiguity == ref.ambiguity
+            public = solve(m, b, 1)
+            assert (public is None) == (sol is None)
+            if sol is not None:
+                assert {k: repr(v) for k, v in public.items()} == \
+                    {k: repr(v) for k, v in sol.items()}
+            seen_ambiguity += bool(ref.ambiguity)
+            seen_obstruction += sol is None
+    assert seen_ambiguity and seen_obstruction
 
 
 def test_valuation_pivoting_keeps_precision():

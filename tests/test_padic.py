@@ -158,6 +158,62 @@ def test_field_inverse_random():
             assert (x * y - fld.one()).is_zero_at(fld.e * 14)
 
 
+def _exact_times(fld, xs, ys):
+    """Product of two coefficient lists of Fractions in Q[s]/(f), e <= 2."""
+    e = fld.e
+    prod = [Fraction(0)] * (2 * e - 1)
+    for i, a in enumerate(xs):
+        for j, b in enumerate(ys):
+            prod[i + j] += a * b
+    if e == 2:
+        # s^2 = -(a_0 + a_1 s)
+        top = prod.pop()
+        prod = [prod[0] - top * fld.coeffs[0], prod[1] - top * fld.coeffs[1]]
+    return prod
+
+
+def _exact_pi_val(fld, cs):
+    """pi-adic valuation of sum c_i pi^i (terms have distinct values mod e)."""
+    return min(fld.e * frac_vp(c, fld.p) + i for i, c in enumerate(cs) if c)
+
+
+def _scalar_fraction(x: PadicScalar) -> Fraction:
+    return Fraction(x.unit) * Fraction(x.ctx.p) ** x.val
+
+
+def test_inverse_against_fraction_oracle():
+    """x * x^-1 = 1 exactly over Q up to the certified precision of x^-1,
+    for units and non-units; at e = 1 the direct inverse keeps the relative
+    precision of x and equals the Newton iteration digit for digit."""
+    rng = random.Random(131)
+    for fld in (F_BASE, F_RAM):
+        p = fld.p
+        shapes = set()
+        for _ in range(60):
+            cs = [Fraction(rng.randint(1, 10 ** 6), rng.choice((1, 2, 3, 7)))
+                  * Fraction(p) ** rng.randint(-2, 3) * rng.choice((1, -1))
+                  for _ in range(fld.e)]
+            if fld.e == 2 and rng.random() < 0.3:
+                cs[rng.randrange(2)] = Fraction(0)
+            x = KElement(fld, tuple(PadicScalar.from_rational(fld.ctx, c)
+                                    for c in cs))
+            a = x.ord_pi()
+            shapes.add((a > 0) - (a < 0))
+            y = x.inverse()
+            ys = [_scalar_fraction(c) for c in y.coeffs]
+            residual = _exact_times(fld, cs, ys)
+            residual[0] -= 1
+            if any(residual):
+                assert _exact_pi_val(fld, residual) >= y.cert_prec_pi() + a
+            newton = x._inverse_newton(a)
+            assert [(c.val, c.unit, c.prec) for c in y.coeffs] == \
+                [(c.val, c.unit, c.prec) for c in newton.coeffs]
+            if fld.e == 1:
+                c, ci = x.coeffs[0], y.coeffs[0]
+                assert ci.val == -c.val and ci.prec - ci.val == c.prec - c.val
+        assert shapes == {-1, 0, 1}
+
+
 def test_field_mul_matches_polynomial_reduction():
     # (a + b*pi)(c + d*pi) = ac + 5bd + (ad + bc) pi for pi^2 = 5
     rng = random.Random(3)
