@@ -19,7 +19,7 @@ from .errors import (AmbiguousPivot, AmbiguousSolve, AmbiguousValuation,
                      NotAOneUnit, NotInSpan, NotNilpotent, TaintedWindow)
 from .field import (FieldDescriptor, KElement, k_teichmuller, parse_eisenstein,
                     parse_element, unit_decompose)
-from .kimhain import UForm, kh_N, kh_d, kh_frobenius, kh_mul, psi_evaluate
+from .kimhain import UForm
 from .linalg import (PrecMatrix, int_kernel_sparse, int_rank_sparse,
                      kernel_basis, rank_at, row_reduce, solve)
 from .padic import PadicContext, PadicScalar, teichmuller, vp
@@ -45,10 +45,10 @@ __all__ = [
     "class_e1", "class_e2", "coboundary_witness", "compute_tate",
     "embed_matrix", "exp_unipotent", "express_in_classes", "h_ranks",
     "int_kernel_sparse", "int_rank_sparse", "is_cocycle", "k_teichmuller",
-    "kernel_basis", "kh_N", "kh_d", "kh_frobenius", "kh_mul", "log_one_unit",
+    "kernel_basis", "log_one_unit",
     "log_unit", "matrix_det", "matrix_inverse", "matrix_same_at",
     "operator_matrix", "parse_eisenstein", "parse_element",
-    "parse_expansion", "psi_evaluate", "rank_at", "render_report",
+    "parse_expansion", "rank_at", "render_report",
     "report_diff", "row_reduce", "run_tate_job", "series_cutoff", "solve",
     "suite_names", "tate_object", "teichmuller", "top_class", "unit_class",
     "unit_decompose", "verify_suite", "vp",

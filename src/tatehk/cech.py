@@ -19,9 +19,11 @@ keeps the linear algebra per weight block small.
 
 On the hk side every structure constant of D is a small integer, so its
 matrix between two block bases is a fixed stencil: hk_D_rows writes it
-straight from the basis keys, for the exact integer ranks and (lifted into
-the scalars) for class solving. operator_int_rows, which applies cech_D to
-every basis cochain, is kept as the oracle the stencil is tested against.
+straight from the basis keys, for the exact integer echelons (one per
+block: its pivots give the rank, its back-substitution the kernel) and,
+lifted into the scalars, for class solving. operator_int_rows, which
+applies cech_D to every basis cochain, is kept as the oracle the stencil
+is tested against.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from .errors import (AmbiguousSolve, ChartMismatch, NotACoboundary, NotInSpan,
                      TaintedWindow)
 from .field import FieldDescriptor, KElement
 from .kimhain import UForm
-from .linalg import (PrecMatrix, _solve_echelon, int_kernel_sparse,
-                     int_rank_sparse, rank_at, solve)
+from .linalg import (PrecMatrix, _echelon_kernel, _solve_echelon, int_echelon,
+                     rank_at, solve)
 
 # form degree of the Z-part and W-part of a cochain of each total degree
 _ZDEG = {0: 0, 1: 1, 2: 2, 3: None}
@@ -524,20 +526,23 @@ def hk_D_rows(src: BlockIndex, tgt: BlockIndex):
 
 
 def _block_h_direct(spec: CechSpec, wt: int, floor_pi: int):
-    """Naive per-weight ranks of the truncated complex (one weight block)."""
+    """Naive per-weight ranks of the truncated complex (one weight block).
+
+    On the hk side the echelon of each D_d (int_echelon, keyed by degree)
+    is returned too, so that the kernels are read off it."""
     idx = {d: BlockIndex(spec, d, [wt]) for d in range(4)}
     dims = {d: len(idx[d]) for d in range(4)}
     ranks = {}
-    introws = {}
+    echelons = {}
     tainted = False
     for d in range(3):
         if not dims[d] or not dims[d + 1]:
             ranks[d] = 0
-            introws[d] = [{} for _ in range(dims[d + 1])]
             continue
         if spec.side == "hk":
-            introws[d], t = hk_D_rows(idx[d], idx[d + 1])
-            ranks[d] = int_rank_sparse(introws[d], dims[d])
+            rows, t = hk_D_rows(idx[d], idx[d + 1])
+            echelons[d] = int_echelon(rows, dims[d])
+            ranks[d] = len(echelons[d])
         else:
             mat, t = operator_matrix(idx[d], idx[d + 1], cech_D)
             ranks[d] = rank_at(mat, floor_pi)
@@ -548,24 +553,20 @@ def _block_h_direct(spec: CechSpec, wt: int, floor_pi: int):
         2: dims[2] - ranks[2] - ranks[1],
         3: dims[3] - ranks[2],
     }
-    return h, idx, introws, tainted
+    return h, idx, echelons, tainted
 
 
-def _block_h_stable(spec: CechSpec, wt: int, degree: int, idx, introws) -> int:
+def _block_h_stable(spec: CechSpec, wt: int, degree: int, idx, echelons) -> int:
     """Rank of H_degree(window) -> H_degree(window with two more u-levels).
 
     The u-cap cuts a genuine subcomplex (the differential lowers u-order),
     so classes that only exist because their primitive would need u-orders
     beyond the cap die in the enlarged complex; two extra levels cover the
     longest exactness cascade through the two-column cover. The surviving
-    rank is the stable estimate."""
-    dim_k = len(idx[degree])
-    if not dim_k:
-        return 0
-    if degree < 3 and len(idx[degree + 1]):
-        kernel = int_kernel_sparse(introws[degree], dim_k)
-    else:
-        kernel = [{k: 1} for k in range(dim_k)]
+    rank is the stable estimate: the pivots of the echelon of [B | Z] at
+    the kernel columns, B the enlarged coboundaries and Z the kernel of
+    D_degree read off the window's echelon (D_degree = 0 when absent)."""
+    kernel = _echelon_kernel(echelons.get(degree, {}), len(idx[degree]))
     if not kernel:
         return 0
     big = spec.resized(spec.S, spec.T, spec.U + 2)
@@ -577,13 +578,10 @@ def _block_h_stable(spec: CechSpec, wt: int, degree: int, idx, introws) -> int:
         nb = len(src)
     else:
         rows = [{} for _ in range(len(tgt))]
-    rank_b = int_rank_sparse(rows, nb) if nb else 0
     for t, vec in enumerate(kernel):
         for pos, val in vec.items():
-            row = tgt.pos[idx[degree].keys[pos]]
-            rows[row][nb + t] = rows[row].get(nb + t, 0) + val
-    rank_bz = int_rank_sparse(rows, nb + len(kernel))
-    return rank_bz - rank_b
+            rows[tgt.pos[idx[degree].keys[pos]]][nb + t] = val
+    return sum(1 for c in int_echelon(rows, nb + len(kernel)) if c >= nb)
 
 
 def h_ranks(spec: CechSpec, floor_pi: int | None = None):
@@ -599,7 +597,7 @@ def h_ranks(spec: CechSpec, floor_pi: int | None = None):
     out = {d: 0 for d in range(4)}
     tainted = False
     for wt in range(-spec.T, spec.T + 1):
-        h, idx, introws, t = _block_h_direct(spec, wt, floor_pi)
+        h, idx, echelons, t = _block_h_direct(spec, wt, floor_pi)
         if not any(h.values()):
             continue
         tainted = tainted or t
@@ -607,7 +605,7 @@ def h_ranks(spec: CechSpec, floor_pi: int | None = None):
             if not h[d]:
                 continue
             if spec.side == "hk":
-                out[d] += _block_h_stable(spec, wt, d, idx, introws)
+                out[d] += _block_h_stable(spec, wt, d, idx, echelons)
             else:
                 out[d] += h[d]
     return out, tainted

@@ -31,11 +31,6 @@ _CHART_SLOTS = {0: (0,), 1: (0, 1), 2: (0,), 3: ()}
 _FIBER_SLOTS = {0: (0,), 1: (0,), 2: ()}
 
 
-def _iszero_prunable(c: KElement) -> bool:
-    fld = c.field
-    return c.is_zero() and c.cert_prec_pi() >= fld.e * fld.ctx.prec
-
-
 class ChartElement:
     """Form of pure degree on one chart of the polygon, coefficients in the
     scalar field, truncated to the window."""
@@ -86,7 +81,7 @@ class ChartElement:
         key = (i, j, slot)
         cur = self.coeffs.get(key)
         nxt = coeff if cur is None else cur + coeff
-        if _iszero_prunable(nxt):
+        if nxt.is_prunable_zero():
             self.coeffs.pop(key, None)
         else:
             self.coeffs[key] = nxt
@@ -134,7 +129,7 @@ class ChartElement:
             out.coeffs = {k: v * c for k, v in self.coeffs.items()}
         else:
             out.coeffs = {k: v.scale(c) for k, v in self.coeffs.items()}
-        out.coeffs = {k: v for k, v in out.coeffs.items() if not _iszero_prunable(v)}
+        out.coeffs = {k: v for k, v in out.coeffs.items() if not v.is_prunable_zero()}
         return out
 
     def is_zero_at(self, floor_pi: int) -> bool:
@@ -332,7 +327,7 @@ class FiberElement:
         key = (j, slot)
         cur = self.coeffs.get(key)
         nxt = coeff if cur is None else cur + coeff
-        if _iszero_prunable(nxt):
+        if nxt.is_prunable_zero():
             self.coeffs.pop(key, None)
         else:
             self.coeffs[key] = nxt
@@ -370,7 +365,7 @@ class FiberElement:
             out.coeffs = {k: v * c for k, v in self.coeffs.items()}
         else:
             out.coeffs = {k: v.scale(c) for k, v in self.coeffs.items()}
-        out.coeffs = {k: v for k, v in out.coeffs.items() if not _iszero_prunable(v)}
+        out.coeffs = {k: v for k, v in out.coeffs.items() if not v.is_prunable_zero()}
         return out
 
     def is_zero_at(self, floor_pi: int) -> bool:

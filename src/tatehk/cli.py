@@ -100,6 +100,8 @@ def _cmd_log(args) -> int:
             else FieldDescriptor.base(ctx)
         branch = branch_from_spec(field, args.q)
         x = parse_element(args.value, field) if args.value else None
+        if x is not None and x.ord_pi_or_none() is None:
+            raise ValueError("--eval value is zero at the working precision")
     except ValueError as err:
         print(f"hk log: {err}", file=sys.stderr)
         return 2

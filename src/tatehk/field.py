@@ -301,6 +301,10 @@ class KElement:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
+    def is_prunable_zero(self) -> bool:
+        """Zero at the full precision cap: a sparse container may drop it."""
+        return self.is_zero() and self.cert_prec_pi() >= self.field.e * self.field.ctx.prec
+
     def is_zero_at(self, floor_pi: int) -> bool:
         """Certifiably divisible by pi^floor_pi (zero at that precision or deeper)."""
         v = self.ord_pi_or_none()
@@ -494,7 +498,11 @@ def parse_element(src: str, field: FieldDescriptor) -> KElement:
             v = v + w if op == "+" else v - w
         return v
 
-    out = expr()
+    try:
+        out = expr()
+    except (AmbiguousValuation, DivisionByIndistinguishableZero) as err:
+        # only an inverse asks for a valuation here: the divisor is zero
+        raise ValueError(f"division by zero in element expression {src!r}") from err
     if tk.peek() is not None:
         raise ValueError(f"trailing input in element expression {src!r}")
     return out

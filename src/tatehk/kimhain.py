@@ -206,23 +206,3 @@ class UForm:
         terms = ", ".join(f"u^[{k}] * {el!r}" for k, el in self.items())
         return f"UForm([{terms}]{', ucap-overflow' if self.ucap_overflow else ''})"
 
-
-def kh_d(x: UForm) -> UForm:
-    return x.d()
-
-
-def kh_mul(x: UForm, y: UForm) -> UForm:
-    return x.mul(y)
-
-
-def kh_N(x: UForm) -> UForm:
-    return x.N()
-
-
-def kh_frobenius(x: UForm) -> UForm:
-    return x.frobenius()
-
-
-def psi_evaluate(x: UForm, lam: KElement, a: KElement,
-                 target: FieldDescriptor) -> FiberElement:
-    return x.evaluate(lam, a, target)

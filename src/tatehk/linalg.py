@@ -6,13 +6,16 @@ quality) and every certificate states the precision floor it holds at.
 Rank questions that the working precision cannot decide raise
 AmbiguousPivot / AmbiguousSolve instead of guessing.
 
-A separate exact integer elimination is provided for matrices with
-integer entries, where rank over Q equals rank over Q_p and no
-precision bookkeeping is needed.
+Matrices with integer entries take an exact path instead, where rank
+over Q equals rank over Q_p and no precision bookkeeping is needed:
+one fraction-free row-insertion echelon, int_echelon, whose pivot
+columns are the canonical ones. int_rank_sparse counts its pivots and
+int_kernel_sparse back-substitutes through it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import gcd
 
 from .errors import AmbiguousPivot, AmbiguousSolve
@@ -42,7 +45,7 @@ class PrecMatrix:
             for j, v in enumerate(row):
                 if not isinstance(v, KElement):
                     v = field.from_rational(v)
-                if not (v.is_zero() and v.cert_prec_pi() >= field.e * field.ctx.prec):
+                if not v.is_prunable_zero():
                     m.rows[i][j] = v
         return m
 
@@ -59,7 +62,7 @@ class PrecMatrix:
         return v if v is not None else self.field.zero()
 
     def set_entry(self, i: int, j: int, v: KElement):
-        if v.is_zero() and v.cert_prec_pi() >= self.field.e * self.field.ctx.prec:
+        if v.is_prunable_zero():
             self.rows[i].pop(j, None)
         else:
             self.rows[i][j] = v
@@ -191,14 +194,14 @@ def row_reduce(a: PrecMatrix, max_cols: int | None = None) -> EchelonResult:
             v = work.rows[i].get(col)
             if v is None:
                 continue
-            if v.is_zero() and v.cert_prec_pi() >= a.field.e * a.field.ctx.prec:
+            if v.is_prunable_zero():
                 del work.rows[i][col]
                 continue
             row = work.rows[i]
             for j, pv in prow.items():
                 cur = row.get(j)
                 nxt = (cur - v * pv) if cur is not None else -(v * pv)
-                if nxt.is_zero() and nxt.cert_prec_pi() >= a.field.e * a.field.ctx.prec:
+                if nxt.is_prunable_zero():
                     row.pop(j, None)
                 else:
                     row[j] = nxt
@@ -223,7 +226,7 @@ def _solve_echelon(a: PrecMatrix, b: dict, floor_pi: int):
     aug = PrecMatrix(a.field, a.nrows, a.ncols + 1,
                      [dict(r) for r in a.rows])
     for i, v in b.items():
-        if not (v.is_zero() and v.cert_prec_pi() >= a.field.e * a.field.ctx.prec):
+        if not v.is_prunable_zero():
             aug.rows[i][a.ncols] = v
     res = row_reduce(aug, max_cols=a.ncols)
     pivot_rows = {r for r, _ in res.pivots}
@@ -278,123 +281,82 @@ def rank_at(a: PrecMatrix, floor_pi: int) -> int:
 # -- exact integer path ---------------------------------------------------------
 
 
-def int_kernel_sparse(rows: list, ncols: int) -> list:
-    """Exact kernel basis over Q of a sparse integer matrix, scaled to
-    integer vectors (list of dicts col -> int, one per free column)."""
-    from fractions import Fraction
+def int_echelon(rows: list, ncols: int) -> dict:
+    """Row echelon over Z of a sparse integer matrix: {pivot column: row}.
 
-    work = []
+    Rows (dicts col -> int; entries at columns >= ncols are ignored) are
+    inserted one at a time. A row is reduced fraction-free against the
+    pivot row of its leading column until it vanishes or leads at a column
+    with no pivot yet; it then becomes that column's pivot row, with its
+    content divided out. There is no pivot search, and the pivot columns
+    are the canonical ones: column c is a pivot exactly when it is not in
+    the span of the columns before it. So the pivots below a column bound
+    count the rank of those columns, over Q and over Q_p alike, and no
+    precision floor is needed.
+    """
+    ech = {}
     for r in rows:
-        row = {j: Fraction(v) for j, v in r.items() if v}
-        if row:
-            work.append(row)
-    pivots = {}
-    for col in range(ncols):
-        pidx = None
-        for idx, row in enumerate(work):
-            if row.get(col):
-                pidx = idx
+        row = {j: v for j, v in r.items() if v and j < ncols}
+        while row:
+            col = min(row)
+            prow = ech.get(col)
+            if prow is None:
+                g = gcd(*row.values())
+                ech[col] = {j: v // g for j, v in row.items()} if g > 1 else row
                 break
-        if pidx is None:
-            continue
-        prow = work.pop(pidx)
-        inv = 1 / prow[col]
-        prow = {j: v * inv for j, v in prow.items()}
-        for ridx, row in enumerate(work):
-            v = row.get(col)
-            if not v:
-                continue
-            merged = dict(row)
+            a, b = row[col], prow[col]
+            g = gcd(a, b)
+            mult_r, mult_p = b // g, a // g
+            if mult_r != 1:
+                row = {j: v * mult_r for j, v in row.items()}
             for j, w in prow.items():
-                nv = merged.get(j, 0) - w * v
+                nv = row.get(j, 0) - w * mult_p
                 if nv:
-                    merged[j] = nv
+                    row[j] = nv
                 else:
-                    merged.pop(j, None)
-            work[ridx] = merged
-        for orow in pivots.values():
-            v = orow.get(col)
-            if v:
-                for j, w in prow.items():
-                    nv = orow.get(j, 0) - w * v
-                    if nv:
-                        orow[j] = nv
-                    else:
-                        orow.pop(j, None)
-        work = [r for r in work if r]
-        pivots[col] = prow
+                    row.pop(j, None)
+    return ech
+
+
+def _echelon_kernel(ech: dict, ncols: int) -> list:
+    """Kernel of an int_echelon over Q by back-substitution: for each free
+    column f, the primitive integer vector with a positive entry at f, zero
+    at the other free columns. It is unique, because the kernel vector with
+    x_f = 1 is. x stays primitive at every step: it is scaled only by
+    |d| / g, which is coprime to the new entry s / g."""
+    pivots = sorted(ech)
     basis = []
-    for col in range(ncols):
-        if col in pivots:
+    for f in range(ncols):
+        if f in ech:
             continue
-        vec = {col: Fraction(1)}
-        for pc, prow in pivots.items():
-            v = prow.get(col)
-            if v:
-                vec[pc] = -v
-        denom = 1
-        for v in vec.values():
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        ivec = {j: int(v * denom) for j, v in vec.items()}
-        g = 0
-        for v in ivec.values():
-            g = gcd(g, abs(v))
-        if g > 1:
-            ivec = {j: v // g for j, v in ivec.items()}
-        basis.append(ivec)
+        x = {f: 1}
+        # pivot columns above f stay zero; solve the ones below it downwards
+        for c in reversed(pivots[:bisect_left(pivots, f)]):
+            prow = ech[c]
+            if len(x) < len(prow):
+                s = sum(prow.get(j, 0) * v for j, v in x.items())
+            else:
+                s = sum(x.get(j, 0) * v for j, v in prow.items())
+            if not s:
+                continue
+            d = prow[c]
+            g = gcd(s, d)
+            scale = abs(d) // g
+            if scale != 1:
+                x = {j: v * scale for j, v in x.items()}
+            x[c] = -(s // g) if d > 0 else s // g
+        basis.append(x)
     return basis
 
 
-def int_rank_sparse(rows: list, ncols: int) -> int:
-    """Exact rank over Q of a sparse integer matrix (list of dicts col -> int).
+def int_kernel_sparse(rows: list, ncols: int) -> list:
+    """Exact kernel basis over Q of the first ncols columns of a sparse integer
+    matrix: one primitive integer vector (dict col -> int) per free column,
+    from the back-substitution of int_echelon."""
+    return _echelon_kernel(int_echelon(rows, ncols), ncols)
 
-    Fraction-free elimination with gcd stripping; deterministic pivoting by
-    (|value| minimal, row index). Rank over Q equals rank over Q_p, so this
-    needs no precision floor.
-    """
-    work = [{j: v for j, v in r.items() if v} for r in rows]
-    work = [r for r in work if r]
-    rank = 0
-    for col in range(ncols):
-        best = None
-        for idx, row in enumerate(work):
-            v = row.get(col)
-            if v:
-                key = (abs(v), idx)
-                if best is None or key < best[0]:
-                    best = (key, idx)
-        if best is None:
-            continue
-        _, pidx = best
-        prow = work.pop(pidx)
-        pval = prow[col]
-        rank += 1
-        nxt = []
-        for row in work:
-            v = row.get(col)
-            if not v:
-                nxt.append(row)
-                continue
-            g = gcd(abs(v), abs(pval))
-            mult_r, mult_p = pval // g, v // g
-            merged = {}
-            for j, w in row.items():
-                merged[j] = w * mult_r
-            for j, w in prow.items():
-                nv = merged.get(j, 0) - w * mult_p
-                if nv:
-                    merged[j] = nv
-                else:
-                    merged.pop(j, None)
-            merged.pop(col, None)
-            if merged:
-                g2 = 0
-                for w in merged.values():
-                    g2 = gcd(g2, abs(w))
-                    if g2 == 1:
-                        break
-                if g2 > 1:
-                    merged = {j: w // g2 for j, w in merged.items()}
-                nxt.append(merged)
-        work = nxt
-    return rank
+
+def int_rank_sparse(rows: list, ncols: int) -> int:
+    """Exact rank over Q (equal to the rank over Q_p) of the first ncols
+    columns of a sparse integer matrix: the pivot count of int_echelon."""
+    return len(int_echelon(rows, ncols))

@@ -51,6 +51,8 @@ class JobSpec:
             raise ValueError("working precision below 8 leaves no room to certify")
         if r < 1:
             raise ValueError("need r >= 1 charts")
+        if U < 0:
+            raise ValueError("divided-power cap U must be >= 0")
         self.p = p
         self.prec = prec
         self.r = r

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import AmbiguousValuation, NotAOneUnit
+from .errors import NotAOneUnit
 from .field import FieldDescriptor, KElement
 from .padic import PadicScalar
 
@@ -76,7 +76,7 @@ class LogBranch:
             raise ValueError("q must be an element of the branch field")
         m = q.ord_pi_or_none()
         if m is None:
-            raise AmbiguousValuation("branch point q is indistinguishable from zero")
+            raise ValueError("branch point q is zero at the working precision")
         if m < 1:
             raise ValueError(f"branch point must lie in the maximal ideal, ord_pi(q) = {m}")
         self.field = field

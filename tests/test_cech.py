@@ -2,6 +2,7 @@
 classes, certified class arithmetic, and rank estimation."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +11,8 @@ from tatehk.cech import (BlockIndex, CechCochain, CechSpec, cech_D,
                          class_e1, class_e2, coboundary_witness,
                          cochain_weights, express_in_classes, h_ranks,
                          hk_D_rows, operator_int_rows, operator_matrix,
-                         top_class, unit_class, _solve_setup)
+                         top_class, unit_class, _block_h_direct,
+                         _block_h_stable, _solve_setup)
 from tatehk.errors import (AmbiguousSolve, ChartMismatch, NotACoboundary,
                            NotInSpan, TaintedWindow)
 from tatehk.field import FieldDescriptor, parse_eisenstein
@@ -194,6 +196,73 @@ def test_h_ranks():
         h, tainted = h_ranks(dr_spec(r))
         assert (h[0], h[1], h[2], h[3]) == (1, 2, 1, 0)
         assert not tainted
+
+
+def fraction_rank_kernel(rows, ncols):
+    """(rank, kernel basis) over Q of the first ncols columns of sparse
+    integer rows, by Gauss-Jordan elimination in Fractions."""
+    work = [{j: Fraction(v) for j, v in row.items() if v and j < ncols}
+            for row in rows]
+    pivots = {}
+    for c in range(ncols):
+        prow = next((row for row in work if row.get(c)), None)
+        if prow is None:
+            continue
+        work.remove(prow)
+        prow = {j: v / prow[c] for j, v in prow.items()}
+        for row in work + list(pivots.values()):
+            f = row.get(c)
+            if f:
+                for j, v in prow.items():
+                    row[j] = row.get(j, 0) - f * v
+                    if not row[j]:
+                        del row[j]
+        pivots[c] = prow
+    kernel = []
+    for f in range(ncols):
+        if f not in pivots:
+            vec = {f: Fraction(1)}
+            vec.update({c: -row[f] for c, row in pivots.items() if f in row})
+            kernel.append(vec)
+    return len(pivots), kernel
+
+
+def test_block_stable_rank_matches_fraction_oracle():
+    """Per weight block and degree, the stable rank read off one echelon of
+    [B | Z] is rank([B | Z]) - rank(B): B the coboundaries of the window with
+    two more u-levels, Z the kernel of D in the window, both from
+    operator_int_rows and eliminated over Q with Fractions."""
+    for r in (1, 2):
+        spec = hk_spec(r, S=3, T=3, U=2)
+        big = spec.resized(3, 3, 4)
+        seen_nonzero = 0
+        for wt in range(-spec.T, spec.T + 1):
+            _, idx, echelons, _ = _block_h_direct(spec, wt, CAP)
+            for d in range(4):
+                dim = len(idx[d])
+                if not dim:
+                    continue
+                if d < 3 and len(idx[d + 1]):
+                    rows, _ = operator_int_rows(idx[d], idx[d + 1], cech_D)
+                    _, kernel = fraction_rank_kernel(rows, dim)
+                else:
+                    kernel = [{k: Fraction(1)} for k in range(dim)]
+                tgt = BlockIndex(big, d, [wt])
+                if d:
+                    src = BlockIndex(big, d - 1, [wt])
+                    rows, _ = operator_int_rows(src, tgt, cech_D)
+                    nb = len(src)
+                else:
+                    rows, nb = [{} for _ in range(len(tgt))], 0
+                rank_b, _ = fraction_rank_kernel(rows, nb)
+                for t, vec in enumerate(kernel):
+                    for k, v in vec.items():
+                        rows[tgt.pos[idx[d].keys[k]]][nb + t] = v
+                rank_bz, _ = fraction_rank_kernel(rows, nb + len(kernel))
+                got = _block_h_stable(spec, wt, d, idx, echelons)
+                assert got == rank_bz - rank_b, (r, wt, d)
+                seen_nonzero += got > 0
+        assert seen_nonzero
 
 
 def test_block_index_roundtrip():

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from tatehk.cli import main
 
 
@@ -126,3 +128,15 @@ def test_tate_unit_branch_point_exits_two(capsys):
     err = _exits_two_with_one_line(
         ["tate", "--p", "5", "--r", "1", "--q", "1+p"], capsys)
     assert "branch point" in err
+
+
+@pytest.mark.parametrize("argv, word", [
+    (["tate", "--p", "5", "--r", "1", "--q", "0"], "branch point"),
+    (["tate", "--p", "5", "--r", "1", "--q", "1/0"], "division by zero"),
+    (["log", "--p", "5", "--eval", "0"], "zero"),
+    (["tate", "--p", "5", "--r", "1", "--U", "-1"], "U"),
+])
+def test_zero_or_negative_input_exits_two(argv, word, capsys):
+    # a branch point, divisor or log argument that is zero at the working
+    # precision, and a negative U, are usage errors, not failed certificates
+    assert word in _exits_two_with_one_line(argv, capsys)

@@ -5,7 +5,7 @@ import random
 
 from tatehk.charts import ChartElement, W, Z
 from tatehk.field import FieldDescriptor, parse_eisenstein
-from tatehk.kimhain import UForm, kh_N, kh_d, kh_frobenius, kh_mul, psi_evaluate
+from tatehk.kimhain import UForm
 from tatehk.padic import PadicContext
 
 CTX = PadicContext(5, 12)
@@ -45,28 +45,28 @@ def assert_zero(x, floor=CAP):
 
 def test_divided_power_products():
     x = umono(1)
-    prod = kh_mul(x, x)
+    prod = x.mul(x)
     assert list(prod.levels) == [2]
     assert prod.level(2).coeffs[(0, 0, 0)].coeffs[0].lift() == 2
-    cube = kh_mul(prod, x)
+    cube = prod.mul(x)
     assert cube.level(3).coeffs[(0, 0, 0)].coeffs[0].lift() == 6
     # (2 u^[2])^2 = 4 * C(4,2) u^[4] = 24 u^[4]
-    quad = kh_mul(prod, prod)
+    quad = prod.mul(prod)
     assert quad.level(4).coeffs[(0, 0, 0)].coeffs[0].lift() == 24
-    over = kh_mul(quad, x)
+    over = quad.mul(x)
     assert over.ucap_overflow and not over.levels
 
 
 def test_kh_d_on_u():
     # d(u^[1]) = -dlog s at u-order zero
-    du = kh_d(umono(1))
+    du = umono(1).d()
     assert list(du.levels) == [0]
     level0 = du.level(0)
     vals = {k: c.coeffs[0] for k, c in level0.items()}
     assert set(vals) == {(0, 0, 0), (0, 0, 1)}
     assert all((v + 1).is_zero() or (v + QP.one().coeffs[0]).is_zero() for v in vals.values())
     # d(f u^[0]) has no u-tail
-    assert list(kh_d(umono(0, i=1, j=1, c=3)).levels) == [0]
+    assert list(umono(0, i=1, j=1, c=3).d().levels) == [0]
 
 
 def test_kh_d_squared_is_zero():
@@ -74,8 +74,8 @@ def test_kh_d_squared_is_zero():
     for _ in range(30):
         kind = rng.choice([Z, W])
         x = random_uform(rng, kind, 1, rng.choice([0, 1]))
-        assert_zero(kh_d(kh_d(x)))
-        dd = kh_d(kh_d(x))
+        assert_zero(x.d().d())
+        dd = x.d().d()
         assert all(not el.coeffs for el in dd.levels.values())
 
 
@@ -86,23 +86,23 @@ def test_kh_d_leibniz():
         f = random_uform(rng, kind, 1, 0)
         g = random_uform(rng, kind, 1, 0)
         om = random_uform(rng, kind, 1, 1, umax=1)
-        assert_zero(kh_d(kh_mul(f, g)) - kh_mul(kh_d(f), g) - kh_mul(f, kh_d(g)))
+        assert_zero(f.mul(g).d() - f.d().mul(g) - f.mul(g.d()))
         # f of degree 0, om of degree 1: d(f om) = df ^ om + f d(om)
-        assert_zero(kh_d(kh_mul(f, om)) - kh_mul(kh_d(f), om) - kh_mul(f, kh_d(om)))
+        assert_zero(f.mul(om).d() - f.d().mul(om) - f.mul(om.d()))
 
 
 def test_monodromy_properties():
     rng = random.Random(61)
     x = umono(3, c=7)
-    assert list(kh_N(x).levels) == [2]
-    assert list(kh_N(kh_N(kh_N(kh_N(x)))).levels) == []
+    assert list(x.N().levels) == [2]
+    assert list(x.N().N().N().N().levels) == []
     for _ in range(25):
         kind = rng.choice([Z, W])
         f = random_uform(rng, kind, 1, 0)
         g = random_uform(rng, kind, 1, 0)
         # N is a derivation and commutes with d
-        assert_zero(kh_N(kh_mul(f, g)) - kh_mul(kh_N(f), g) - kh_mul(f, kh_N(g)))
-        assert_zero(kh_N(kh_d(f)) - kh_d(kh_N(f)))
+        assert_zero(f.mul(g).N() - f.N().mul(g) - f.mul(g.N()))
+        assert_zero(f.d().N() - f.N().d())
 
 
 def test_frobenius_relations():
@@ -112,20 +112,20 @@ def test_frobenius_relations():
         f = random_uform(rng, kind, 1, 0, span=2, umax=2)
         g = random_uform(rng, kind, 1, 0, span=2, umax=1)
         # N phi = p phi N
-        assert_zero(kh_N(kh_frobenius(f)) - kh_frobenius(kh_N(f)).scale(5))
+        assert_zero(f.frobenius().N() - f.N().frobenius().scale(5))
         # phi is multiplicative and a chain map
-        assert_zero(kh_frobenius(kh_mul(f, g)) - kh_mul(kh_frobenius(f), kh_frobenius(g)))
-        assert_zero(kh_d(kh_frobenius(f)) - kh_frobenius(kh_d(f)))
+        assert_zero(f.mul(g).frobenius() - f.frobenius().mul(g.frobenius()))
+        assert_zero(f.frobenius().d() - f.d().frobenius())
 
 
 def test_restrictions_commute_with_u_operators():
     rng = random.Random(71)
     for _ in range(20):
         x = random_uform(rng, Z, 2, rng.choice([0, 1]))
-        assert_zero(kh_d(x).restrict_nat() - kh_d(x.restrict_nat()))
-        assert_zero(kh_d(x).restrict_twist(1) - kh_d(x.restrict_twist(1)))
-        assert_zero(kh_N(x).restrict_nat() - kh_N(x.restrict_nat()))
-        assert_zero(kh_N(x).restrict_twist(1) - kh_N(x.restrict_twist(1)))
+        assert_zero(x.d().restrict_nat() - x.restrict_nat().d())
+        assert_zero(x.d().restrict_twist(1) - x.restrict_twist(1).d())
+        assert_zero(x.N().restrict_nat() - x.restrict_nat().N())
+        assert_zero(x.N().restrict_twist(1) - x.restrict_twist(1).N())
 
 
 def test_psi_evaluate_substitutes():
@@ -133,7 +133,7 @@ def test_psi_evaluate_substitutes():
     lam = RAM.from_int(3) * a
     # f u^[0] + g u^[1] evaluates to f(a) + lam g(a)
     x = umono(0, i=1, j=0, c=2) + umono(1, i=0, j=1, c=5)
-    fe = psi_evaluate(x, lam, a, RAM)
+    fe = x.evaluate(lam, a, RAM)
     assert fe.kind == "XF"
     got = dict(fe.items())
     expect0 = RAM.from_int(2) * a
@@ -142,22 +142,22 @@ def test_psi_evaluate_substitutes():
     assert (got[(1, 0)] - expect1).is_zero_at(2 * CAP - 4)
     # u^[2] picks up lam^2 / 2
     y = umono(2, c=4)
-    fe = psi_evaluate(y, lam, a, RAM)
+    fe = y.evaluate(lam, a, RAM)
     ((_, _), c), = fe.items()
     expect = RAM.from_int(2) * lam * lam
     assert (c - expect).is_zero_at(2 * CAP - 4)
 
 
 def test_psi_evaluate_is_a_chain_map():
-    # dlog s dies on the fiber, so evaluation intertwines kh_d with the fiber d
+    # dlog s dies on the fiber, so evaluation intertwines UForm.d with the fiber d
     rng = random.Random(73)
     a = RAM.pi()
     lam = RAM.from_int(2) * a
     for _ in range(20):
         kind = rng.choice([Z, W])
         x = random_uform(rng, kind, 1, 0, span=2, umax=2)
-        lhs = psi_evaluate(kh_d(x), lam, a, RAM)
-        rhs = psi_evaluate(x, lam, a, RAM).d()
+        lhs = x.d().evaluate(lam, a, RAM)
+        rhs = x.evaluate(lam, a, RAM).d()
         assert (lhs - rhs).is_zero_at(2 * CAP - 6)
 
 
@@ -169,6 +169,6 @@ def test_psi_evaluate_is_multiplicative():
         kind = rng.choice([Z, W])
         f = random_uform(rng, kind, 1, 0, span=1, umax=2)
         g = random_uform(rng, kind, 1, 0, span=1, umax=2)
-        lhs = psi_evaluate(kh_mul(f, g), lam, a, RAM)
-        rhs = psi_evaluate(f, lam, a, RAM).mul(psi_evaluate(g, lam, a, RAM), a)
+        lhs = f.mul(g).evaluate(lam, a, RAM)
+        rhs = f.evaluate(lam, a, RAM).mul(g.evaluate(lam, a, RAM), a)
         assert (lhs - rhs).is_zero_at(2 * CAP - 8)

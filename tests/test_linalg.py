@@ -2,13 +2,15 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from tatehk.errors import AmbiguousSolve
 from tatehk.field import FieldDescriptor, parse_eisenstein
-from tatehk.linalg import (PrecMatrix, _solve_echelon, int_rank_sparse,
-                           kernel_basis, rank_at, row_reduce, solve)
+from tatehk.linalg import (PrecMatrix, _solve_echelon, int_echelon,
+                           int_kernel_sparse, int_rank_sparse, kernel_basis,
+                           rank_at, row_reduce, solve)
 from tatehk.padic import PadicContext, PadicScalar
 
 
@@ -16,7 +18,9 @@ from tatehk.padic import PadicContext, PadicScalar
 
 
 def oracle_rank_and_kernel(rows):
-    """Row echelon over Q with Fractions; returns (rank, kernel_dim, kernel_basis)."""
+    """Row echelon over Q with Fractions; returns (pivot_columns, kernel_basis),
+    one basis vector per free column f, with 1 at f and 0 at the other free
+    columns."""
     m = [[Fraction(x) for x in row] for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -49,7 +53,19 @@ def oracle_rank_and_kernel(rows):
         for i, c in enumerate(pivots):
             vec[c] = -m[i][f]
         basis.append(vec)
-    return len(pivots), len(free), basis
+    return pivots, basis
+
+
+def primitive(vec):
+    """A Fraction vector scaled to coprime integers with the same signs."""
+    den = 1
+    for x in vec:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in vec]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    return {j: x // g for j, x in enumerate(ints) if x}
 
 
 CTX = PadicContext(5, 20)
@@ -62,18 +78,51 @@ def random_int_matrix(rng, nrows, ncols, lo=-9, hi=9, density=0.7):
              for _ in range(ncols)] for _ in range(nrows)]
 
 
+def check_exact_integer_path(sparse, data, ncols):
+    """int_echelon, int_rank_sparse and int_kernel_sparse on sparse rows whose
+    first ncols columns are the dense data, against the Fraction oracle."""
+    pivots, basis = oracle_rank_and_kernel(data)
+    ech = int_echelon(sparse, ncols)
+    assert sorted(ech) == pivots
+    for col, row in ech.items():
+        assert min(row) == col and max(row) < ncols
+        g = 0
+        for v in row.values():
+            g = gcd(g, v)
+        assert g == 1
+    assert int_rank_sparse(sparse, ncols) == len(pivots)
+    assert int_kernel_sparse(sparse, ncols) == [primitive(vec) for vec in basis]
+
+
 def test_rank_matches_rational_oracle():
     rng = random.Random(20260814)
     for _ in range(50):
         nrows = rng.randint(1, 6)
         ncols = rng.randint(1, 6)
         data = random_int_matrix(rng, nrows, ncols)
-        want_rank, want_nullity, _ = oracle_rank_and_kernel(data)
+        pivots, basis = oracle_rank_and_kernel(data)
+        want_rank, want_nullity = len(pivots), len(basis)
         m = PrecMatrix.from_rows(QP, data)
         assert rank_at(m, 15) == want_rank
         assert len(kernel_basis(m, 15)) == want_nullity
         sparse = [{j: v for j, v in enumerate(row) if v} for row in data]
         assert int_rank_sparse(sparse, ncols) == want_rank
+        check_exact_integer_path(sparse, data, ncols)
+    # low-rank products (long reduction chains), all-zero rows, explicit zero
+    # entries, and entries at columns >= ncols, which are ignored
+    rng = random.Random(41)
+    for _ in range(60):
+        nrows, ncols, extra = rng.randint(1, 9), rng.randint(1, 9), rng.randint(0, 3)
+        inner = rng.randint(1, 4)
+        left = random_int_matrix(rng, nrows, inner, -3, 3)
+        right = random_int_matrix(rng, inner, ncols + extra, -3, 3)
+        wide = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                for row in left]
+        for i in rng.sample(range(nrows), rng.randint(0, nrows // 2)):
+            wide[i] = [0] * (ncols + extra)
+        sparse = [{j: v for j, v in enumerate(row) if v or rng.random() < 0.2}
+                  for row in wide]
+        check_exact_integer_path(sparse, [row[:ncols] for row in wide], ncols)
 
 
 def test_kernel_vectors_certify():
