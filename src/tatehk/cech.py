@@ -20,21 +20,26 @@ keeps the linear algebra per weight block small.
 On the hk side every structure constant of D is a small integer, so its
 matrix between two block bases is a fixed stencil: hk_D_rows writes it
 straight from the basis keys, for the exact integer echelons (one per
-block: its pivots give the rank, its back-substitution the kernel) and,
-lifted into the scalars, for class solving. operator_int_rows, which
-applies cech_D to every basis cochain, is kept as the oracle the stencil
-is tested against.
+block: its pivots give the rank, its back-substitution the kernel).
+operator_int_rows, which applies cech_D to every basis cochain, is kept
+as the oracle the stencil is tested against. hk cochains are integer
+cochains, so hk class systems are solved exactly over Q with one echelon
+of [stencil | classes | target], and hk coordinates and witnesses are
+exact rationals, not certificates at a floor. dr class systems are
+eliminated over the scalars and certified at a floor.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .charts import _CHART_SLOTS, _FIBER_SLOTS, ChartElement, FiberElement
 from .errors import (AmbiguousSolve, ChartMismatch, NotACoboundary, NotInSpan,
                      TaintedWindow)
 from .field import FieldDescriptor, KElement
 from .kimhain import UForm
-from .linalg import (PrecMatrix, _echelon_kernel, _solve_echelon, int_echelon,
-                     rank_at, solve)
+from .linalg import (PrecMatrix, _back_substitute, _echelon_kernel,
+                     _solve_echelon, _touching, int_echelon, rank_at)
 
 # form degree of the Z-part and W-part of a cochain of each total degree
 _ZDEG = {0: 0, 1: 1, 2: 2, 3: None}
@@ -620,34 +625,78 @@ def is_cocycle(c: CechCochain, floor_pi: int):
     return image.is_zero_at(floor_pi), image.residual_prec()
 
 
-def _solve_setup(target: CechCochain, classes, extra_weights=()):
-    spec = target.spec
-    weights = set(cochain_weights(target)) | set(extra_weights)
+def _solve_indices(target: CechCochain, classes):
+    """Block indices (src, tgt) of D(witness) + sum_k coords[k] classes[k] =
+    target: the weights the target and classes carry, in the target degree
+    and the one below (src is None in degree 0)."""
+    weights = set(cochain_weights(target))
     for cl in classes:
         weights.update(cochain_weights(cl))
-    if not weights:
-        weights = {0}
+    weights = weights or {0}
+    spec = target.spec
     tgt = BlockIndex(spec, target.degree, weights)
-    if target.degree == 0:
-        src = None
-        nsrc = 0
+    src = BlockIndex(spec, target.degree - 1, weights) if target.degree else None
+    return src, tgt
+
+
+def _hk_system(target: CechCochain, classes):
+    """(src, tgt, rows, tainted): the exact integer rows of an hk class
+    system. Its columns are, in order, the stencil of D (hk_D_rows), the
+    classes, and the target as the last column. A class or target entry
+    that is not an integer known to the cap is refused, never rounded."""
+    src, tgt = _solve_indices(target, classes)
+    tainted = target.overflow or any(cl.overflow for cl in classes)
+    if src is None:
+        rows = [{} for _ in range(len(tgt))]
+    else:
+        rows, t = hk_D_rows(src, tgt)
+        tainted = tainted or t
+    for col, c in enumerate((*classes, target), start=len(src or ())):
+        for row, coeff in tgt.vector(c).items():
+            m = _centered_int(coeff)
+            if m is None:
+                raise AmbiguousSolve(
+                    f"hk coefficient {coeff.expansion_str()} at {tgt.keys[row]}"
+                    f" is not an integer known to O(p^{tgt.spec.cap()})")
+            if m:
+                rows[row][col] = m
+    return src, tgt, rows, tainted
+
+
+def _hk_solve(rows: list, nsrc: int, nclasses: int):
+    """Exact solution over Q of an _hk_system: (coords, witness vector) as
+    Fractions, or None when the target lies outside the span.
+
+    One int_echelon decides everything: the target column is a pivot
+    exactly when it is outside the span of the columns before it, and a
+    class column that is no pivot makes the classes dependent modulo
+    coboundaries. Otherwise back-substituting the target column gives x
+    with x_b = d > 0, so coords = -x_C / d and witness = -x_D / d, with the
+    free coboundary coordinates zero."""
+    nb = nsrc + nclasses
+    ech = int_echelon(rows, nb + 1)
+    if nb in ech:
+        return None
+    if any(c not in ech for c in range(nsrc, nb)):
+        raise AmbiguousSolve("classes are dependent modulo coboundaries")
+    x = _back_substitute(ech, _touching(ech), nb)
+    d = x[nb]
+    coords = [Fraction(-x.get(c, 0), d) for c in range(nsrc, nb)]
+    witness = {c: Fraction(-v, d) for c, v in x.items() if c < nsrc}
+    return coords, witness
+
+
+def _solve_setup(target: CechCochain, classes):
+    """(src, tgt, matrix [D | classes], tainted) of a dr class system."""
+    spec = target.spec
+    src, tgt = _solve_indices(target, classes)
+    nsrc = len(src or ())
+    if src is None:
         full = PrecMatrix(spec.field, len(tgt), len(classes))
         tainted = False
     else:
-        src = BlockIndex(spec, target.degree - 1, weights)
-        nsrc = len(src)
-        full = PrecMatrix(spec.field, len(tgt), nsrc + len(classes))
-        if spec.side == "hk":
-            introws, tainted = hk_D_rows(src, tgt)
-            lifted = {}
-            for row, irow in zip(full.rows, introws):
-                for col, m in irow.items():
-                    if m not in lifted:
-                        lifted[m] = spec.field.from_int(m)
-                    row[col] = lifted[m]
-        else:
-            mat, tainted = operator_matrix(src, tgt, cech_D)
-            full.rows = mat.rows
+        full, tainted = operator_matrix(src, tgt, cech_D)
+        full.ncols += len(classes)
     for t, cl in enumerate(classes):
         tainted = tainted or cl.overflow
         for row, coeff in tgt.vector(cl).items():
@@ -656,52 +705,70 @@ def _solve_setup(target: CechCochain, classes, extra_weights=()):
     return src, tgt, full, tainted
 
 
+def _solve(target: CechCochain, classes, floor_pi: int, allow_tainted: bool,
+           what: str):
+    """(coords, witness) of target = D(witness) + sum_k coords[k] classes[k],
+    or None when the target is certified outside the span.
+
+    hk cochains are integer cochains: their system is solved exactly over Q
+    (_hk_solve) and only the solution is entered into K. The dr system is
+    eliminated over K and certified at floor_pi."""
+    spec = target.spec
+    if spec.side == "hk":
+        src, tgt, rows, tainted = _hk_system(target, classes)
+    else:
+        src, tgt, full, tainted = _solve_setup(target, classes)
+    if tainted and not allow_tainted:
+        raise TaintedWindow(f"window overflow while forming the {what} system")
+    nsrc = len(src or ())
+    if spec.side == "hk":
+        sol = _hk_solve(rows, nsrc, len(classes))
+        if sol is None:
+            return None
+        coords = [spec.field.from_rational(q) for q in sol[0]]
+        wvec = {c: spec.field.from_rational(q) for c, q in sol[1].items()}
+    else:
+        x, res = _solve_echelon(full, tgt.vector(target), floor_pi)
+        if x is None:
+            return None
+        if classes:
+            # coordinates are canonical only if every class column earns a
+            # pivot after the coboundary columns (independence modulo the
+            # image of D)
+            res.rank_at(floor_pi)
+            if sum(1 for _, c in res.pivots if c >= nsrc) < len(classes):
+                raise AmbiguousSolve(
+                    "classes are dependent modulo coboundaries at this depth")
+        zero = spec.field.zero()
+        coords = [x.get(nsrc + t, zero) for t in range(len(classes))]
+        wvec = {c: v for c, v in x.items() if c < nsrc}
+    return coords, None if src is None else src.cochain(wvec)
+
+
 def express_in_classes(target: CechCochain, classes, floor_pi: int,
                        allow_tainted: bool = False):
     """Write target = D(witness) + sum_k coords[k] * classes[k].
 
-    Returns (coords, witness). Raises NotInSpan on a certified obstruction,
-    AmbiguousSolve if the coordinates are not pinned down at the requested
-    depth, TaintedWindow if window overflow undermines the certificate."""
-    spec = target.spec
-    src, tgt, full, tainted = _solve_setup(target, classes)
-    if tainted and not allow_tainted:
-        raise TaintedWindow("window overflow while forming the class system")
-    nsrc = 0 if src is None else len(src)
-    b = tgt.vector(target)
-    sol, res = _solve_echelon(full, b, floor_pi)
+    Returns (coords, witness). On the hk side coords and witness are exact
+    rationals, so floor_pi is not used; on the dr side they are certified
+    at floor_pi. Raises NotInSpan on a certified obstruction,
+    AmbiguousSolve if the coordinates are not pinned down (dependent
+    classes, or a dr system undecidable at the requested depth),
+    TaintedWindow if window overflow undermines the certificate."""
+    sol = _solve(target, classes, floor_pi, allow_tainted, "class")
     if sol is None:
         raise NotInSpan("target is certified outside the span of the classes "
                         "modulo coboundaries")
-    # coordinates are canonical only if every class column earns a pivot
-    # after the coboundary columns (independence modulo the image of D)
-    res.rank_at(floor_pi)
-    class_pivots = sum(1 for _, c in res.pivots if c >= nsrc)
-    if class_pivots < len(classes):
-        raise AmbiguousSolve(
-            "classes are dependent modulo coboundaries at this depth")
-    coords = []
-    zero = spec.field.zero()
-    for t in range(len(classes)):
-        coords.append(sol.get(nsrc + t, zero))
-    if src is None:
-        witness = None
-    else:
-        witness = src.cochain({k: v for k, v in sol.items() if k < nsrc})
-    return coords, witness
+    return sol
 
 
 def coboundary_witness(target: CechCochain, floor_pi: int,
                        allow_tainted: bool = False) -> CechCochain:
-    """Solve D(witness) = target; raises NotACoboundary when obstructed."""
-    src, tgt, full, tainted = _solve_setup(target, [])
-    if tainted and not allow_tainted:
-        raise TaintedWindow("window overflow while forming the coboundary system")
-    sol = solve(full, tgt.vector(target), floor_pi)
+    """Solve D(witness) = target; raises NotACoboundary when obstructed.
+    The witness is exact on the hk side and certified at floor_pi on the
+    dr side."""
+    sol = _solve(target, [], floor_pi, allow_tainted, "coboundary")
     if sol is None:
-        err = NotACoboundary("target is certified not to be a coboundary")
-        err.obstruction = target
-        raise err
-    if src is None:
-        return None
-    return src.cochain(sol)
+        raise NotACoboundary("target is certified not to be a coboundary",
+                             obstruction=target)
+    return sol[1]

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import CertificationError
 from .field import FieldDescriptor, parse_eisenstein, parse_element
 from .padic import PadicContext
-from .pipeline import JobSpec, report_diff, run_tate_job, suite_names, verify_suite
+from .pipeline import (JobSpec, check_suite_args, report_diff, run_tate_job,
+                       suite_names, verify_suite)
 from .plog import branch_from_spec
 
 
@@ -72,18 +74,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out_path(path: str):
+    """ValueError unless path can be created or overwritten as a file."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path} is a directory")
+    if not os.path.isdir(parent):
+        raise ValueError(f"--out {path}: no directory {parent}")
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise ValueError(f"--out {path} is not writable")
+
+
 def _cmd_tate(args) -> int:
     try:
         job = JobSpec(args.p, args.prec, args.r, args.eisenstein, args.q,
                       args.S, args.T, args.U)
+        if args.out:
+            _check_out_path(args.out)
     except ValueError as err:
         print(f"hk tate: {err}", file=sys.stderr)
         return 2
     report = run_tate_job(job, suites=args.suite)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as err:
+            print(f"hk tate: {err}", file=sys.stderr)
+            return 2
         print(f"wrote {args.out}")
     else:
         print(text)
@@ -118,6 +137,11 @@ def _cmd_log(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    try:
+        check_suite_args(args.p, args.prec, args.r, args.eisenstein, args.trials)
+    except ValueError as err:
+        print(f"hk verify: {err}", file=sys.stderr)
+        return 2
     names = suite_names() if args.suite == "all" else [args.suite]
     results = {}
     ok = True

@@ -9,13 +9,14 @@ AmbiguousPivot / AmbiguousSolve instead of guessing.
 Matrices with integer entries take an exact path instead, where rank
 over Q equals rank over Q_p and no precision bookkeeping is needed:
 one fraction-free row-insertion echelon, int_echelon, whose pivot
-columns are the canonical ones. int_rank_sparse counts its pivots and
-int_kernel_sparse back-substitutes through it.
+columns are the canonical ones. int_rank_sparse counts its pivots;
+int_kernel_sparse, and the exact hk class solving in cech, back-substitute
+one free column at a time through it (_back_substitute).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import insort
 from math import gcd
 
 from .errors import AmbiguousPivot, AmbiguousSolve
@@ -318,35 +319,55 @@ def int_echelon(rows: list, ncols: int) -> dict:
     return ech
 
 
-def _echelon_kernel(ech: dict, ncols: int) -> list:
-    """Kernel of an int_echelon over Q by back-substitution: for each free
-    column f, the primitive integer vector with a positive entry at f, zero
-    at the other free columns. It is unique, because the kernel vector with
-    x_f = 1 is. x stays primitive at every step: it is scaled only by
-    |d| / g, which is coprime to the new entry s / g."""
-    pivots = sorted(ech)
-    basis = []
-    for f in range(ncols):
-        if f in ech:
+def _touching(ech: dict) -> dict:
+    """Column index of an int_echelon: {column: pivots whose row has an entry
+    there, besides its own leading one}."""
+    touch = {}
+    for c, prow in ech.items():
+        for j in prow:
+            if j != c:
+                touch.setdefault(j, []).append(c)
+    return touch
+
+
+def _back_substitute(ech: dict, touch: dict, f: int) -> dict:
+    """The primitive integer vector x with ech x = 0, x_f > 0 on the free
+    column f, and zero at the other free columns. It is unique, because the
+    one with x_f = 1 is. Pivot columns are solved downwards, and only those
+    whose row touches the support of x (touch = _touching(ech)) can have a
+    nonzero dot product, so only they are visited. x stays primitive at
+    every step: it is scaled only by |d| / g, which is coprime to the new
+    entry s / g."""
+    x = {f: 1}
+    todo = sorted(touch.get(f, ()))
+    queued = set(todo)
+    while todo:
+        c = todo.pop()
+        prow = ech[c]
+        if len(x) < len(prow):
+            s = sum(prow.get(j, 0) * v for j, v in x.items())
+        else:
+            s = sum(x.get(j, 0) * v for j, v in prow.items())
+        if not s:
             continue
-        x = {f: 1}
-        # pivot columns above f stay zero; solve the ones below it downwards
-        for c in reversed(pivots[:bisect_left(pivots, f)]):
-            prow = ech[c]
-            if len(x) < len(prow):
-                s = sum(prow.get(j, 0) * v for j, v in x.items())
-            else:
-                s = sum(x.get(j, 0) * v for j, v in prow.items())
-            if not s:
-                continue
-            d = prow[c]
-            g = gcd(s, d)
-            scale = abs(d) // g
-            if scale != 1:
-                x = {j: v * scale for j, v in x.items()}
-            x[c] = -(s // g) if d > 0 else s // g
-        basis.append(x)
-    return basis
+        d = prow[c]
+        g = gcd(s, d)
+        scale = abs(d) // g
+        if scale != 1:
+            x = {j: v * scale for j, v in x.items()}
+        x[c] = -(s // g) if d > 0 else s // g
+        for below in touch.get(c, ()):
+            if below not in queued:
+                queued.add(below)
+                insort(todo, below)
+    return x
+
+
+def _echelon_kernel(ech: dict, ncols: int) -> list:
+    """Kernel of an int_echelon over Q: the back-substituted vector of each
+    free column below ncols, in column order."""
+    touch = _touching(ech)
+    return [_back_substitute(ech, touch, f) for f in range(ncols) if f not in ech]
 
 
 def int_kernel_sparse(rows: list, ncols: int) -> list:

@@ -498,9 +498,22 @@ def suite_names():
 def verify_suite(name: str, p: int = 3, prec: int = 14, r: int = 2,
                  eisenstein: str | None = None, seed: int = 1,
                  trials: int | None = None) -> dict:
+    """Run one verification suite; trials=None keeps the suite's default.
+
+    Bad parameters raise ValueError before the suite starts."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {suite_names()}")
+    check_suite_args(p, prec, r, eisenstein, trials)
     return _SUITES[name](p, prec, r, eisenstein, seed, trials)
+
+
+def check_suite_args(p: int, prec: int, r: int, eisenstein: str | None = None,
+                     trials: int | None = None):
+    """ValueError unless the suite parameters pass the input checks of a
+    JobSpec and trials is None or at least 1."""
+    if trials is not None and trials < 1:
+        raise ValueError("need trials >= 1")
+    JobSpec(p, prec, r, eisenstein)
 
 
 # -- report comparison ---------------------------------------------------------

@@ -12,11 +12,11 @@ from tatehk.cech import (BlockIndex, CechCochain, CechSpec, cech_D,
                          cochain_weights, express_in_classes, h_ranks,
                          hk_D_rows, operator_int_rows, operator_matrix,
                          top_class, unit_class, _block_h_direct,
-                         _block_h_stable, _solve_setup)
+                         _block_h_stable, _hk_solve, _hk_system)
 from tatehk.errors import (AmbiguousSolve, ChartMismatch, NotACoboundary,
                            NotInSpan, TaintedWindow)
-from tatehk.field import FieldDescriptor, parse_eisenstein
-from tatehk.padic import PadicContext
+from tatehk.field import FieldDescriptor, KElement, parse_eisenstein
+from tatehk.padic import PadicContext, PadicScalar
 
 CTX = PadicContext(3, 12)
 QP = FieldDescriptor.base(CTX)
@@ -312,18 +312,138 @@ def test_integer_and_padic_operator_matrices_agree():
                     col = idx[0].pos[(0, "Z", 1, 0, 0, 0)]
                     assert not any(col in row for row in rows)
         assert not tainted[0] and any(tainted.values())
-    # lifted into the scalars, the stencil is the coboundary matrix that
-    # operator_matrix builds, entry by entry and at the same precision
+    # the exact class system [D | classes | target]: embedded into the
+    # scalars, its stencil columns are the coboundary matrix that
+    # operator_matrix builds, and its class and target columns are the
+    # coefficient vectors, entry by entry and at the same precision
     for r in (1, 3):
         spec = hk_spec(r)
         e1, e2 = class_e1(spec), class_e2(spec)
         for target, classes in ((cech_frobenius(e2), [e1, e2]),
                                 (cech_frobenius(top_class(spec)), [top_class(spec)])):
-            src, tgt, full, _ = _solve_setup(target, classes)
+            src, tgt, rows, _ = _hk_system(target, classes)
             mat, _ = operator_matrix(src, tgt, cech_D)
-            for lifted, row in zip(full.rows, mat.rows):
-                coboundary = {c: v for c, v in lifted.items() if c < len(src)}
-                assert coboundary.keys() == row.keys()
-                for c, v in row.items():
-                    assert (coboundary[c] - v).is_zero_at(CAP)
-                    assert coboundary[c].cert_prec_pi() == v.cert_prec_pi()
+            vectors = [tgt.vector(c) for c in (*classes, target)]
+            for i, (irow, row) in enumerate(zip(rows, mat.rows)):
+                want = dict(row)
+                for t, vec in enumerate(vectors):
+                    if i in vec and not vec[i].is_prunable_zero():
+                        want[len(src) + t] = vec[i]
+                assert irow.keys() == want.keys()
+                for c, v in want.items():
+                    exact = QP.from_int(irow[c])
+                    assert (exact - v).is_zero_at(CAP)
+                    assert exact.cert_prec_pi() == v.cert_prec_pi()
+
+
+def test_hk_class_solve_matches_fraction_oracle():
+    """Exact hk class solving against Gauss-Jordan in Fractions on the same
+    system, built from operator_int_rows and the coefficient vectors: in-span,
+    out-of-span and coboundary targets, dependent classes, and degree 0."""
+    rng = random.Random(211)
+    spec = hk_spec(2, S=3, T=3, U=1)
+    seen = set()
+    for trial in range(48):
+        degree = (0, 1, 2)[trial % 3]
+        case = ("in_span", "outside", "dependent", "coboundary")[trial // 3 % 4]
+        nclasses = 0 if case == "coboundary" else rng.randrange(1, 3)
+        classes = [random_cochain(rng, spec, degree, span=2, umax=1)
+                   for _ in range(nclasses)]
+        if case == "dependent":
+            # a multiple of the last class, modulo a coboundary
+            extra = classes[-1].scale(QP.from_int(rng.choice((-2, 3))))
+            if degree:
+                extra = extra + cech_D(
+                    random_cochain(rng, spec, degree - 1, span=2, umax=1))
+            classes.append(extra)
+        target = random_cochain(rng, spec, degree, span=2, umax=1)
+        if case != "outside":
+            target = CechCochain.zero(spec, degree)
+            for cl in classes:
+                target = target + cl.scale(QP.from_int(rng.randrange(-4, 5)))
+            if degree:
+                target = target + cech_D(
+                    random_cochain(rng, spec, degree - 1, span=2, umax=1))
+        # the oracle system [D | classes | target]
+        weights = set(cochain_weights(target))
+        for cl in classes:
+            weights.update(cochain_weights(cl))
+        tgt = BlockIndex(spec, degree, weights or {0})
+        if degree:
+            src = BlockIndex(spec, degree - 1, weights or {0})
+            rows, _ = operator_int_rows(src, tgt, cech_D)
+            nsrc = len(src)
+        else:
+            rows, nsrc = [{} for _ in range(len(tgt))], 0
+        for t, c in enumerate((*classes, target)):
+            for i, v in tgt.vector(c).items():
+                if lift_int(v):
+                    rows[i][nsrc + t] = lift_int(v)
+        nb = nsrc + len(classes)
+        _, kernel = fraction_rank_kernel(rows, nb + 1)
+        # in reduced echelon, a kernel vector's free column is its last one
+        free = {max(vec): vec for vec in kernel}
+        # exact solve through the package: the internal Fractions and the
+        # public entry points
+        _, _, got_rows, _ = _hk_system(target, classes)
+        assert got_rows == rows
+        if nb not in free:
+            assert _hk_solve(got_rows, nsrc, len(classes)) is None
+            with pytest.raises(NotACoboundary if case == "coboundary" else NotInSpan):
+                if case == "coboundary":
+                    coboundary_witness(target, CAP, allow_tainted=True)
+                else:
+                    express_in_classes(target, classes, CAP, allow_tainted=True)
+            seen.add("outside")
+            continue
+        if any(c in free for c in range(nsrc, nb)):
+            with pytest.raises(AmbiguousSolve):
+                express_in_classes(target, classes, CAP, allow_tainted=True)
+            seen.add("dependent")
+            continue
+        vec = free[nb]
+        want_coords = [-vec.get(c, 0) for c in range(nsrc, nb)]
+        want_witness = {c: -v for c, v in vec.items() if c < nsrc and v}
+        coords, witness = _hk_solve(got_rows, nsrc, len(classes))
+        assert coords == want_coords and witness == want_witness
+        # D(witness) + sum_k coords[k] classes[k] - target = 0 exactly
+        x = dict(witness)
+        x.update({nsrc + t: c for t, c in enumerate(coords)})
+        x[nb] = Fraction(-1)
+        for row in rows:
+            assert sum(v * x.get(j, 0) for j, v in row.items()) == 0
+        if case == "coboundary":
+            wit = coboundary_witness(target, CAP, allow_tainted=True)
+            pub = [] if wit is None else list(src.vector(wit).items())
+            seen.add("coboundary")
+        else:
+            pub_coords, wit = express_in_classes(target, classes, CAP,
+                                                 allow_tainted=True)
+            for got, want in zip(pub_coords, want_coords):
+                assert same_scalar(got, QP.from_rational(want))
+            pub = [] if wit is None else list(src.vector(wit).items())
+            seen.add("degree 0" if not degree else "in_span")
+        for c, v in pub:
+            assert same_scalar(v, QP.from_rational(want_witness.get(c, 0)))
+    assert seen == {"outside", "dependent", "coboundary", "degree 0", "in_span"}
+
+
+def same_scalar(a, b):
+    """Equal digits and equal stated precision."""
+    return [(c.val, c.unit, c.prec) for c in a.coeffs] == \
+        [(c.val, c.unit, c.prec) for c in b.coeffs]
+
+
+def test_hk_coefficient_below_the_cap_is_refused():
+    """An hk class or target coefficient that is not an integer known to the
+    cap is refused, never rounded to a nearby integer."""
+    spec = hk_spec(2)
+    e1, e2 = class_e1(spec), class_e2(spec)
+    short = KElement(QP, (PadicScalar.from_int(CTX, 1, prec=CAP - 1),))
+    for bad in (short, QP.from_rational(Fraction(1, 3))):
+        with pytest.raises(AmbiguousSolve, match="not an integer"):
+            express_in_classes(e1.scale(bad), [e1, e2], CAP)
+        with pytest.raises(AmbiguousSolve, match="not an integer"):
+            express_in_classes(e1, [e1.scale(bad), e2], CAP)
+        with pytest.raises(AmbiguousSolve, match="not an integer"):
+            coboundary_witness(e1.scale(bad), CAP)

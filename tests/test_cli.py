@@ -140,3 +140,31 @@ def test_zero_or_negative_input_exits_two(argv, word, capsys):
     # a branch point, divisor or log argument that is zero at the working
     # precision, and a negative U, are usage errors, not failed certificates
     assert word in _exits_two_with_one_line(argv, capsys)
+
+
+@pytest.mark.parametrize("argv, word", [
+    (["verify", "--p", "4"], "prime"),
+    (["verify", "--prec", "0"], "prec"),
+    (["verify", "--r", "0"], "r >= 1"),
+    (["verify", "--p", "5", "--eisenstein", "s^2-3"], "valuation"),
+    (["verify", "--suite", "kim_hain_algebra", "--trials", "-3"], "trials"),
+    (["verify", "--suite", "kim_hain_algebra", "--trials", "0"], "trials"),
+])
+def test_verify_bad_input_exits_two(argv, word, capsys):
+    # a suite never starts on bad parameters, and a pass that checks
+    # nothing (no trials) is refused rather than reported ok
+    assert word in _exits_two_with_one_line(argv, capsys)
+
+
+def test_tate_unwritable_out_exits_two_before_the_job(tmp_path, capsys,
+                                                       monkeypatch):
+    import tatehk.cli as cli
+
+    def no_job(*args, **kwargs):
+        raise AssertionError("the job ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_tate_job", no_job)
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        err = _exits_two_with_one_line(
+            ["tate", "--p", "3", "--r", "1", "--out", str(out)], capsys)
+        assert "--out" in err
