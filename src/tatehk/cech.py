@@ -41,6 +41,8 @@ from .kimhain import UForm
 from .linalg import (PrecMatrix, _back_substitute, _echelon_kernel,
                      _solve_echelon, _touching, int_echelon, rank_at)
 
+# certificate floors sit SLACK digits under the working precision
+SLACK = 5
 # form degree of the Z-part and W-part of a cochain of each total degree
 _ZDEG = {0: 0, 1: 1, 2: 2, 3: None}
 _WDEG = {0: None, 1: 0, 2: 1, 3: 2}
@@ -144,10 +146,15 @@ class CechCochain:
             [spec.zero_part("W", n, wdeg) for n in range(1, spec.r + 1)]
         return cls(spec, degree, zpart, wpart)
 
+    def map_parts(self, fn, spec: CechSpec | None = None) -> "CechCochain":
+        """Cochain of the same degree with fn applied to every chart part,
+        in `spec` (default: this cochain's complex)."""
+        z = None if self.zpart is None else [fn(el) for el in self.zpart]
+        w = None if self.wpart is None else [fn(el) for el in self.wpart]
+        return CechCochain(self.spec if spec is None else spec, self.degree, z, w)
+
     def copy(self):
-        z = None if self.zpart is None else list(self.zpart)
-        w = None if self.wpart is None else list(self.wpart)
-        return CechCochain(self.spec, self.degree, z, w)
+        return self.map_parts(lambda el: el)
 
     def _compatible(self, other: "CechCochain"):
         if self.spec != other.spec or self.degree != other.degree:
@@ -162,17 +169,13 @@ class CechCochain:
         return CechCochain(self.spec, self.degree, z, w)
 
     def __neg__(self):
-        z = None if self.zpart is None else [-a for a in self.zpart]
-        w = None if self.wpart is None else [-a for a in self.wpart]
-        return CechCochain(self.spec, self.degree, z, w)
+        return self.map_parts(lambda el: -el)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        z = None if self.zpart is None else [a.scale(c) for a in self.zpart]
-        w = None if self.wpart is None else [a.scale(c) for a in self.wpart]
-        return CechCochain(self.spec, self.degree, z, w)
+        return self.map_parts(lambda el: el.scale(c))
 
     def parts(self):
         out = []
@@ -226,17 +229,13 @@ def cech_D(c: CechCochain) -> CechCochain:
 def cech_N(c: CechCochain) -> CechCochain:
     if c.spec.side != "hk":
         raise ChartMismatch("monodromy acts on the hk side")
-    z = None if c.zpart is None else [el.N() for el in c.zpart]
-    w = None if c.wpart is None else [el.N() for el in c.wpart]
-    return CechCochain(c.spec, c.degree, z, w)
+    return c.map_parts(lambda el: el.N())
 
 
 def cech_frobenius(c: CechCochain) -> CechCochain:
     if c.spec.side != "hk":
         raise ChartMismatch("Frobenius acts on the hk side")
-    z = None if c.zpart is None else [el.frobenius() for el in c.zpart]
-    w = None if c.wpart is None else [el.frobenius() for el in c.wpart]
-    return CechCochain(c.spec, c.degree, z, w)
+    return c.map_parts(lambda el: el.frobenius())
 
 
 def cech_psi(c: CechCochain, lam: KElement, dr_spec: CechSpec) -> CechCochain:
@@ -246,11 +245,7 @@ def cech_psi(c: CechCochain, lam: KElement, dr_spec: CechSpec) -> CechCochain:
     if (c.spec.r, c.spec.S, c.spec.T) != (dr_spec.r, dr_spec.S, dr_spec.T):
         raise ChartMismatch("window mismatch between the two sides")
     a = dr_spec.point
-    z = None if c.zpart is None else \
-        [el.evaluate(lam, a, dr_spec.field) for el in c.zpart]
-    w = None if c.wpart is None else \
-        [el.evaluate(lam, a, dr_spec.field) for el in c.wpart]
-    return CechCochain(dr_spec, c.degree, z, w)
+    return c.map_parts(lambda el: el.evaluate(lam, a, dr_spec.field), dr_spec)
 
 
 # -- standard classes ---------------------------------------------------------
@@ -589,16 +584,16 @@ def _block_h_stable(spec: CechSpec, wt: int, degree: int, idx, echelons) -> int:
     return sum(1 for c in int_echelon(rows, nb + len(kernel)) if c >= nb)
 
 
-def h_ranks(spec: CechSpec, floor_pi: int | None = None):
+def h_ranks(spec: CechSpec):
     """Cohomology rank estimate of the truncated complex, per degree.
 
     Splits over the weight grading. Weight blocks whose naive ranks vanish
     contribute nothing; the rest are refined to the rank surviving one more
     u-level, which removes the u-cap boundary artifacts on the hk side.
     Returns (ranks, tainted); tainted reports window overflow inside any
-    block that contributed to the estimate."""
-    if floor_pi is None:
-        floor_pi = spec.cap() - 5 * spec.field.e
+    block that contributed to the estimate. dr ranks are certified at the
+    floor SLACK digits under the cap."""
+    floor_pi = spec.cap() - SLACK * spec.field.e
     out = {d: 0 for d in range(4)}
     tainted = False
     for wt in range(-spec.T, spec.T + 1):

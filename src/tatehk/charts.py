@@ -16,6 +16,13 @@ Everything is truncated to a window |i| <= S, |j| <= T (T only on
 fibers). Operations that push a monomial outside the window drop it
 and set the overflow flag; certificates downstream refuse tainted
 windows.
+
+Both kinds of form share one sparse core, _SparseForm: a dict from
+monomial keys to scalars of one pure degree on one chart, with the linear
+structure (sum, negation, scaling, zero tests at a floor) written once.
+ChartElement (keys (i, j, slot), window S, T) and FiberElement (keys
+(j, slot), window T) add only their key shape and window, their own
+_accumulate, and their operators.
 """
 
 from __future__ import annotations
@@ -31,11 +38,96 @@ _CHART_SLOTS = {0: (0,), 1: (0, 1), 2: (0,), 3: ()}
 _FIBER_SLOTS = {0: (0,), 1: (0,), 2: ()}
 
 
-class ChartElement:
+class _SparseForm:
+    """Sparse form of pure degree on one chart: monomial key -> scalar.
+
+    Each subclass's _accumulate checks slot and window, then adds the term
+    with _add_term, so every stored key lies in the window. Its _blank names
+    the window fields instead of unpacking _window(): _blank runs on every
+    operation, and a call with star-unpacked arguments is slower."""
+
+    __slots__ = ("field", "r", "kind", "n", "degree", "coeffs", "overflow")
+
+    def __init__(self, field: FieldDescriptor, r: int, kind: str, n: int,
+                 degree: int, coeffs, overflow: bool):
+        self.field = field
+        self.r = r
+        self.kind = kind
+        self.n = n
+        self.degree = degree
+        self.coeffs = {} if coeffs is None else coeffs
+        self.overflow = overflow
+
+    def _add_term(self, key, coeff):
+        cur = self.coeffs.get(key)
+        nxt = coeff if cur is None else cur + coeff
+        if nxt.is_prunable_zero():
+            self.coeffs.pop(key, None)
+        else:
+            self.coeffs[key] = nxt
+
+    def items(self):
+        return sorted(self.coeffs.items())
+
+    def _compatible(self, other: "_SparseForm", same_degree=True):
+        if (self.field != other.field or self.r != other.r or self.kind != other.kind
+                or self.n != other.n or self._window() != other._window()):
+            raise ChartMismatch("forms live on different charts or windows")
+        if same_degree and self.degree != other.degree:
+            raise ChartMismatch("degree mismatch")
+
+    # -- linear structure --------------------------------------------------
+
+    def __add__(self, other):
+        self._compatible(other)
+        out = self._blank()
+        out.overflow = self.overflow or other.overflow
+        out.coeffs = dict(self.coeffs)
+        # the terms of other lie in this window already: no window check
+        for key, c in other.coeffs.items():
+            out._add_term(key, c)
+        return out
+
+    def __neg__(self):
+        out = self._blank()
+        out.coeffs = {k: -c for k, c in self.coeffs.items()}
+        return out
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        out = self._blank()
+        if isinstance(c, KElement):
+            out.coeffs = {k: v * c for k, v in self.coeffs.items()}
+        else:
+            out.coeffs = {k: v.scale(c) for k, v in self.coeffs.items()}
+        out.coeffs = {k: v for k, v in out.coeffs.items() if not v.is_prunable_zero()}
+        return out
+
+    def is_zero_at(self, floor_pi: int) -> bool:
+        return all(c.is_zero_at(floor_pi) for c in self.coeffs.values())
+
+    def residual_prec(self) -> int:
+        """Certified pi-adic depth at which this form vanishes."""
+        cap = self.field.e * self.field.ctx.prec
+        worst = cap
+        for c in self.coeffs.values():
+            v = c.ord_pi_or_none()
+            worst = min(worst, v if v is not None else c.cert_prec_pi())
+        return worst
+
+    def __repr__(self):
+        terms = ", ".join(f"{k}:{v!r}" for k, v in self.items())
+        return (f"{type(self).__name__}({self.kind}_{self.n}, deg={self.degree}, "
+                f"[{terms}]{', overflow' if self.overflow else ''})")
+
+
+class ChartElement(_SparseForm):
     """Form of pure degree on one chart of the polygon, coefficients in the
     scalar field, truncated to the window."""
 
-    __slots__ = ("field", "r", "kind", "n", "degree", "S", "T", "coeffs", "overflow")
+    __slots__ = ("S", "T")
 
     def __init__(self, field: FieldDescriptor, r: int, kind: str, n: int,
                  degree: int, S: int, T: int, coeffs=None, overflow: bool = False):
@@ -45,15 +137,9 @@ class ChartElement:
             raise ChartMismatch(f"chart index {n} outside 1..{r}")
         if degree not in _CHART_SLOTS:
             raise ChartMismatch(f"bad form degree {degree}")
-        self.field = field
-        self.r = r
-        self.kind = kind
-        self.n = n
-        self.degree = degree
+        _SparseForm.__init__(self, field, r, kind, n, degree, coeffs, overflow)
         self.S = S
         self.T = T
-        self.coeffs = {} if coeffs is None else coeffs
-        self.overflow = overflow
 
     # -- construction ----------------------------------------------------
 
@@ -67,6 +153,9 @@ class ChartElement:
         el._accumulate(i, j, slot, coeff)
         return el
 
+    def _window(self):
+        return self.S, self.T
+
     def _blank(self, degree=None):
         return ChartElement(self.field, self.r, self.kind, self.n,
                             self.degree if degree is None else degree,
@@ -78,71 +167,13 @@ class ChartElement:
         if i < 0 or i > self.S or abs(j) > self.T:
             self.overflow = True
             return
-        key = (i, j, slot)
-        cur = self.coeffs.get(key)
-        nxt = coeff if cur is None else cur + coeff
-        if nxt.is_prunable_zero():
-            self.coeffs.pop(key, None)
-        else:
-            self.coeffs[key] = nxt
-
-    def items(self):
-        return sorted(self.coeffs.items())
-
-    # -- sanity ----------------------------------------------------------
-
-    def _compatible(self, other: "ChartElement", same_degree=True):
-        if (self.field != other.field or self.r != other.r or self.kind != other.kind
-                or self.n != other.n or (self.S, self.T) != (other.S, other.T)):
-            raise ChartMismatch("chart elements live on different charts or windows")
-        if same_degree and self.degree != other.degree:
-            raise ChartMismatch("degree mismatch")
+        self._add_term((i, j, slot), coeff)
 
     def _vw_exponents(self, i: int, j: int):
         """Exponents (a, b) with monomial = v^a w^b."""
         if self.kind == Z:
             return i + max(j, 0), i + max(-j, 0)
         return i, i + j
-
-    # -- linear structure --------------------------------------------------
-
-    def __add__(self, other: "ChartElement"):
-        self._compatible(other)
-        out = self._blank()
-        out.overflow = self.overflow or other.overflow
-        out.coeffs = dict(self.coeffs)
-        for (i, j, slot), c in other.coeffs.items():
-            out._accumulate(i, j, slot, c)
-        return out
-
-    def __neg__(self):
-        out = self._blank()
-        out.coeffs = {k: -c for k, c in self.coeffs.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "ChartElement":
-        out = self._blank()
-        if isinstance(c, KElement):
-            out.coeffs = {k: v * c for k, v in self.coeffs.items()}
-        else:
-            out.coeffs = {k: v.scale(c) for k, v in self.coeffs.items()}
-        out.coeffs = {k: v for k, v in out.coeffs.items() if not v.is_prunable_zero()}
-        return out
-
-    def is_zero_at(self, floor_pi: int) -> bool:
-        return all(c.is_zero_at(floor_pi) for c in self.coeffs.values())
-
-    def residual_prec(self) -> int:
-        """Certified pi-adic depth at which this element vanishes."""
-        cap = self.field.e * self.field.ctx.prec
-        worst = cap
-        for c in self.coeffs.values():
-            v = c.ord_pi_or_none()
-            worst = min(worst, v if v is not None else c.cert_prec_pi())
-        return worst
 
     # -- ring structure ------------------------------------------------------
 
@@ -261,11 +292,6 @@ class ChartElement:
             # degree 2 collapses: dlog v ^ dlog w -> dlog v ^ (-dlog v) = 0
         return out
 
-    def __repr__(self):
-        terms = ", ".join(f"{k}:{v!r}" for k, v in self.items())
-        return (f"ChartElement({self.kind}_{self.n}, deg={self.degree}, "
-                f"[{terms}]{', overflow' if self.overflow else ''})")
-
 
 def _wedge(d1: int, s1: int, d2: int, s2: int):
     """Wedge of basis forms: yields (slot, sign) terms of the product."""
@@ -282,26 +308,20 @@ def _wedge(d1: int, s1: int, d2: int, s2: int):
     return
 
 
-class FiberElement:
+class FiberElement(_SparseForm):
     """Form on a fiber chart: monomials in the fiber coordinate only, relative
     one-forms on {dlog v}, and no two-forms (curve fibers)."""
 
-    __slots__ = ("field", "r", "kind", "n", "degree", "T", "coeffs", "overflow")
+    __slots__ = ("T",)
 
     def __init__(self, field: FieldDescriptor, r: int, kind: str, n: int,
                  degree: int, T: int, coeffs=None, overflow: bool = False):
         if kind not in (XF, WF):
             raise ChartMismatch(f"not a fiber chart kind: {kind}")
-        if degree not in (0, 1, 2):
+        if degree not in _FIBER_SLOTS:
             raise ChartMismatch(f"bad form degree {degree}")
-        self.field = field
-        self.r = r
-        self.kind = kind
-        self.n = n
-        self.degree = degree
+        _SparseForm.__init__(self, field, r, kind, n, degree, coeffs, overflow)
         self.T = T
-        self.coeffs = {} if coeffs is None else coeffs
-        self.overflow = overflow
 
     @classmethod
     def zero(cls, field, r, kind, n, degree, T):
@@ -312,6 +332,9 @@ class FiberElement:
         el = cls(field, r, kind, n, degree, T)
         el._accumulate(j, slot, coeff)
         return el
+
+    def _window(self):
+        return self.T,
 
     def _blank(self, degree=None):
         return FiberElement(self.field, self.r, self.kind, self.n,
@@ -324,60 +347,7 @@ class FiberElement:
         if abs(j) > self.T:
             self.overflow = True
             return
-        key = (j, slot)
-        cur = self.coeffs.get(key)
-        nxt = coeff if cur is None else cur + coeff
-        if nxt.is_prunable_zero():
-            self.coeffs.pop(key, None)
-        else:
-            self.coeffs[key] = nxt
-
-    def items(self):
-        return sorted(self.coeffs.items())
-
-    def _compatible(self, other, same_degree=True):
-        if (self.field != other.field or self.r != other.r or self.kind != other.kind
-                or self.n != other.n or self.T != other.T):
-            raise ChartMismatch("fiber elements live on different charts or windows")
-        if same_degree and self.degree != other.degree:
-            raise ChartMismatch("degree mismatch")
-
-    def __add__(self, other):
-        self._compatible(other)
-        out = self._blank()
-        out.overflow = self.overflow or other.overflow
-        out.coeffs = dict(self.coeffs)
-        for (j, slot), c in other.coeffs.items():
-            out._accumulate(j, slot, c)
-        return out
-
-    def __neg__(self):
-        out = self._blank()
-        out.coeffs = {k: -c for k, c in self.coeffs.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "FiberElement":
-        out = self._blank()
-        if isinstance(c, KElement):
-            out.coeffs = {k: v * c for k, v in self.coeffs.items()}
-        else:
-            out.coeffs = {k: v.scale(c) for k, v in self.coeffs.items()}
-        out.coeffs = {k: v for k, v in out.coeffs.items() if not v.is_prunable_zero()}
-        return out
-
-    def is_zero_at(self, floor_pi: int) -> bool:
-        return all(c.is_zero_at(floor_pi) for c in self.coeffs.values())
-
-    def residual_prec(self) -> int:
-        cap = self.field.e * self.field.ctx.prec
-        worst = cap
-        for c in self.coeffs.values():
-            v = c.ord_pi_or_none()
-            worst = min(worst, v if v is not None else c.cert_prec_pi())
-        return worst
+        self._add_term((j, slot), coeff)
 
     def mul(self, other: "FiberElement", point: KElement) -> "FiberElement":
         """Graded product on the fiber at s = point (v w = point on XF charts)."""
@@ -385,13 +355,10 @@ class FiberElement:
         deg = self.degree + other.degree
         if deg > 2:
             raise ChartMismatch("product degree exceeds the top degree")
-        if deg == 2:
-            # anything of degree 2 on a curve fiber is zero
-            out = self._blank(degree=2)
-            out.overflow = self.overflow or other.overflow
-            return out
         out = self._blank(degree=deg)
         out.overflow = self.overflow or other.overflow
+        if deg == 2:
+            return out  # anything of degree 2 on a curve fiber is zero
         for (j1, s1), c1 in self.coeffs.items():
             for (j2, s2), c2 in other.coeffs.items():
                 c = c1 * c2
@@ -443,8 +410,3 @@ class FiberElement:
             k = max(-j, 0)
             out._accumulate(-j, slot, c * point ** k if k else c)
         return out
-
-    def __repr__(self):
-        terms = ", ".join(f"{k}:{v!r}" for k, v in self.items())
-        return (f"FiberElement({self.kind}_{self.n}, deg={self.degree}, "
-                f"[{terms}]{', overflow' if self.overflow else ''})")

@@ -72,16 +72,6 @@ class PrecMatrix:
         return PrecMatrix(self.field, self.nrows, self.ncols,
                           [dict(r) for r in self.rows])
 
-    def to_lists(self):
-        return [[self.entry(i, j) for j in range(self.ncols)] for i in range(self.nrows)]
-
-    def transpose(self) -> "PrecMatrix":
-        m = PrecMatrix(self.field, self.ncols, self.nrows)
-        for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                m.rows[j][i] = v
-        return m
-
     def matmul(self, other: "PrecMatrix") -> "PrecMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")

@@ -139,14 +139,6 @@ class PadicScalar:
             raise ValueError("negative valuation has no residue")
         return self.lift() % self.ctx.p
 
-    def with_prec(self, prec: int) -> "PadicScalar":
-        """Truncate (never inflate) the stated precision."""
-        if prec >= self.prec:
-            return self
-        if self.unit == 0:
-            return PadicScalar(self.ctx, prec, 0, prec)
-        return self._make(self.ctx, self.unit, self.val, prec)
-
     # -- arithmetic ------------------------------------------------------
 
     def _coerce(self, other) -> "PadicScalar":

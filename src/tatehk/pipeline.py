@@ -19,7 +19,7 @@ import random
 import re
 from fractions import Fraction
 
-from .cech import (BlockIndex, CechSpec, cech_D, cech_frobenius, cech_N,
+from .cech import (SLACK, BlockIndex, CechSpec, cech_D, cech_frobenius, cech_N,
                    cech_psi, class_e1, class_e2, express_in_classes, h_ranks,
                    is_cocycle, operator_matrix, top_class, unit_class)
 from .charts import ChartElement
@@ -38,21 +38,24 @@ class JobSpec:
     """Parameters of one run; windows default to S = T = 2p + 2, U = 3.
 
     The p-adic context, the ground field and the log branch are built here,
-    so that bad input fails with ValueError before any work starts."""
+    so that bad input fails with ValueError before any work starts. The
+    certificate floors sit SLACK digits under the working precision:
+    floor_b over the base field, floor_k = e * floor_b over K."""
 
-    __slots__ = ("p", "prec", "r", "eisenstein", "q", "S", "T", "U", "slack",
-                 "ctx", "field", "branch")
+    __slots__ = ("p", "prec", "r", "eisenstein", "q", "S", "T", "U",
+                 "floor_b", "floor_k", "ctx", "field", "branch")
 
     def __init__(self, p: int, prec: int, r: int, eisenstein: str | None = None,
                  q: str = "pi", S: int | None = None, T: int | None = None,
-                 U: int = 3, slack: int = 5):
+                 U: int = 3):
         ctx = PadicContext(p, prec)
         if prec < 8:
             raise ValueError("working precision below 8 leaves no room to certify")
         if r < 1:
             raise ValueError("need r >= 1 charts")
-        if U < 0:
-            raise ValueError("divided-power cap U must be >= 0")
+        if U < 1:
+            raise ValueError("divided-power cap U must be >= 1: the class e2 "
+                             "carries u^[1]")
         self.p = p
         self.prec = prec
         self.r = r
@@ -61,7 +64,6 @@ class JobSpec:
         self.S = 2 * p + 2 if S is None else S
         self.T = 2 * p + 2 if T is None else T
         self.U = U
-        self.slack = slack
         if self.T < p or self.S < p:
             raise ValueError("windows must at least contain the Frobenius image "
                              "of the class monomials")
@@ -69,10 +71,12 @@ class JobSpec:
         self.field = parse_eisenstein(eisenstein, ctx) if eisenstein \
             else FieldDescriptor.base(ctx)
         self.branch = branch_from_spec(self.field, q)
+        self.floor_b = prec - SLACK
+        self.floor_k = self.field.e * self.floor_b
 
     def resized(self, S, T, U) -> "JobSpec":
         return JobSpec(self.p, self.prec, self.r, self.eisenstein, self.q,
-                       S, T, U, self.slack)
+                       S, T, U)
 
 
 class TateComputation:
@@ -146,8 +150,7 @@ def compute_tate(job: JobSpec) -> TateComputation:
     out.dr = CechSpec(job.r, "dr", field, job.S, job.T, 0, point=field.pi())
     out.branch = job.branch
     out.lam = -out.branch.log_pi()
-    floor_b = job.prec - job.slack
-    floor_k = field.e * (job.prec - job.slack)
+    floor_b, floor_k = job.floor_b, job.floor_k
 
     e1h, e2h = class_e1(out.hk), class_e2(out.hk)
     unith, toph = unit_class(out.hk), top_class(out.hk)
@@ -213,7 +216,7 @@ def _fmt_matrix(m: PrecMatrix):
 def render_report(comp: TateComputation) -> dict:
     job = comp.job
     field = comp.field
-    floor_k = field.e * (job.prec - job.slack)
+    floor_k = job.floor_k
     mod = comp.module
     k0 = tate_object(field, 0)
     km1 = tate_object(field, -1)
@@ -222,7 +225,7 @@ def render_report(comp: TateComputation) -> dict:
     h0_ok = (h0_phi_k.same_at(k0.phi.entry(0, 0), floor_k)
              and comp.cocycle_cert["hk.unit"][0])
     h2_ok = (h2_phi_k.same_at(km1.phi.entry(0, 0), floor_k)
-             and comp.h2_n.is_zero_at(comp.base.e * (job.prec - job.slack)))
+             and comp.h2_n.is_zero_at(job.floor_b))
     report = {
         "spec": {
             "p": job.p,
@@ -409,17 +412,15 @@ def _suite_branch_calculus(p, prec, r, eisenstein, seed, trials):
 
 def _suite_choice_of_pi(p, prec, r, eisenstein, seed, trials):
     specs = ["pi", "p", "p*(1+p)", "p^2*(1+p)"]
-    floor = None
     runs = {}
     failures = []
     checks = 0
     base_job = JobSpec(p, prec, r, eisenstein, "pi")
+    floor = base_job.floor_k
     for qspec in specs:
         job = JobSpec(p, prec, r, eisenstein, qspec,
                       base_job.S, base_job.T, base_job.U)
         runs[qspec] = compute_tate(job)
-        if floor is None:
-            floor = runs[qspec].field.e * (prec - 5)
     for qa in specs:
         for qb in specs:
             if qa == qb:
@@ -449,7 +450,7 @@ def _suite_base_change(p, prec, r, eisenstein, seed, trials):
     bigfield = parse_eisenstein(eis, PadicContext(p, prec))
     moved = small.module.base_change(bigfield)
     big = compute_tate(JobSpec(p, prec, ell, eis, "pi"))
-    floor = bigfield.e * (prec - 5)
+    floor = big.job.floor_k
     failures = []
     checks = 3
     if not matrix_same_at(moved.phi, big.module.phi, floor):
@@ -467,7 +468,7 @@ def _suite_truncation_stability(p, prec, r, eisenstein, seed, trials):
     job = JobSpec(p, prec, r, eisenstein, "p")
     comp = compute_tate(job)
     wide = compute_tate(job.resized(job.S + 4, job.T + 4, job.U + 1))
-    floor = comp.field.e * (prec - 5)
+    floor = job.floor_k
     failures = []
     checks = 5
     for name in ("phi", "n_pi", "psi"):

@@ -5,7 +5,7 @@ by killing the Teichmuller part, and to K^* by choosing the value on the
 uniformizer: the branch attached to q = pi^m * v sets log_q(pi) to
 -log(v)/m, which is the unique extension with log_q(q) = 0. Series are
 truncated at a certified cutoff: every dropped term has pi-adic
-valuation at least e * target_prec.
+valuation at least e * prec, the working precision.
 """
 
 from __future__ import annotations
@@ -35,11 +35,10 @@ def series_cutoff(t: int, e: int, p: int, target_prec: int) -> int:
     return n
 
 
-def log_one_unit(u: KElement, target_prec: int | None = None) -> KElement:
-    """-sum_{n>=1} (1-u)^n / n for u in 1 + m; target_prec is absolute p-adic."""
+def log_one_unit(u: KElement) -> KElement:
+    """-sum_{n>=1} (1-u)^n / n for u in 1 + m, to the working precision."""
     fld = u.field
     ctx = fld.ctx
-    n_target = ctx.prec if target_prec is None else target_prec
     x = fld.one() - u
     v = x.ord_pi_or_none()
     if v is None:
@@ -47,7 +46,7 @@ def log_one_unit(u: KElement, target_prec: int | None = None) -> KElement:
         return fld.zero()
     if v < 1:
         raise NotAOneUnit(f"1 - u has valuation {v}, expected >= 1")
-    n_max = series_cutoff(v, fld.e, ctx.p, n_target)
+    n_max = series_cutoff(v, fld.e, ctx.p, ctx.prec)
     total = fld.zero()
     power = fld.one()
     for n in range(1, n_max + 1):
@@ -57,13 +56,13 @@ def log_one_unit(u: KElement, target_prec: int | None = None) -> KElement:
     return total
 
 
-def log_unit(u: KElement, target_prec: int | None = None) -> KElement:
+def log_unit(u: KElement) -> KElement:
     """Logarithm on V^*: zero on Teichmuller representatives, series on one-units."""
     from .field import k_teichmuller
     if u.ord_pi_or_none() != 0:
         raise NotAOneUnit("log_unit needs a unit of the integer ring")
     omega = k_teichmuller(u)
-    return log_one_unit(u / omega, target_prec)
+    return log_one_unit(u / omega)
 
 
 class LogBranch:
@@ -95,7 +94,7 @@ class LogBranch:
             self._log_pi = -lv.scale(inv_m)
         return self._log_pi
 
-    def log(self, x: KElement, target_prec: int | None = None) -> KElement:
+    def log(self, x: KElement) -> KElement:
         """Branch logarithm of any certified-nonzero x in K^*."""
         a = x.ord_pi()
         u = x
@@ -103,7 +102,7 @@ class LogBranch:
             u = x * self.field.pi_inv() ** a
         elif a < 0:
             u = x * self.field.pi() ** (-a)
-        body = log_unit(u, target_prec)
+        body = log_unit(u)
         if a == 0:
             return body
         return body + self.log_pi().scale(PadicScalar.from_int(self.field.ctx, a))

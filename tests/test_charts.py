@@ -9,7 +9,7 @@ import pytest
 from tatehk.charts import XF, WF, ChartElement, FiberElement, W, Z
 from tatehk.errors import ChartMismatch
 from tatehk.field import FieldDescriptor, parse_eisenstein
-from tatehk.padic import PadicContext
+from tatehk.padic import PadicContext, PadicScalar
 
 CTX = PadicContext(5, 12)
 QP = FieldDescriptor.base(CTX)
@@ -330,3 +330,73 @@ def test_chart_mismatch_guards():
         zmono(0, 0, degree=1) + zmono(0, 0)
     with pytest.raises(ChartMismatch):
         wmono(0, 0).restrict_nat()
+
+
+# -- the sparse core shared by chart and fiber forms ------------------------
+
+
+def chart_form(key, c=1, degree=0, n=1, window=(S, T), field=QP):
+    return ChartElement.monomial(field, R, Z, n, degree, *window, *key,
+                                 field.from_int(c))
+
+
+def fiber_form(key, c=1, degree=0, n=1, window=(T,), field=RAM):
+    return FiberElement.monomial(field, R, XF, n, degree, *window, *key,
+                                 field.from_int(c))
+
+
+# (form factory, its field, three keys in the window, a key outside the
+# window, a smaller window, a form of the other class over the same field)
+SPARSE_CORES = {
+    "chart": (chart_form, QP, [(0, 1, 0), (2, -1, 0), (1, 0, 0)], (S + 1, 0, 0),
+              (S, T - 1), lambda: fiber_form((0, 0), field=QP)),
+    "fiber": (fiber_form, RAM, [(1, 0), (-2, 0), (0, 0)], (T + 1, 0),
+              (T - 1,), lambda: chart_form((0, 0, 0), field=RAM)),
+}
+
+
+@pytest.mark.parametrize("core", sorted(SPARSE_CORES))
+def test_shared_sparse_core(core):
+    form, field, (k0, k1, k2), outside, small, other_class = SPARSE_CORES[core]
+    cap = field.e * CTX.prec
+
+    def assert_coeffs(el, want):
+        assert set(el.coeffs) == set(want)
+        for key, n in want.items():
+            assert (el.coeffs[key] - field.from_int(n)).is_zero_at(cap)
+
+    # sum, difference and negation; a cancelled term is pruned
+    a = form(k0, 3) + form(k1, 5)
+    b = form(k1, -5) + form(k2, 7)
+    assert_coeffs(a + b, {k0: 3, k2: 7})
+    assert_coeffs(a - b, {k0: 3, k1: 10, k2: -7})
+    assert_coeffs(-a, {k0: -3, k1: -5})
+    assert_coeffs(a - a, {})
+    assert [k for k, _ in (a + b).items()] == sorted([k0, k2])
+    # scaling by a K element and by a base scalar; a zero scale is pruned
+    assert_coeffs(a.scale(field.from_int(-2)), {k0: -6, k1: -10})
+    assert_coeffs(a.scale(PadicScalar.from_int(CTX, 4)), {k0: 12, k1: 20})
+    assert a.scale(field.zero()).coeffs == {}
+    assert a.scale(PadicScalar.zero(CTX)).coeffs == {}
+    # zero tests at a floor and the certified residual depth
+    deep = form(k0, 5 ** 3) + form(k2, 5 ** 4)
+    assert deep.is_zero_at(3 * field.e) and not deep.is_zero_at(3 * field.e + 1)
+    assert deep.residual_prec() == 3 * field.e
+    assert form(k0, 0).coeffs == {} and form(k0, 0).residual_prec() == cap
+    assert form(k0, 0).is_zero_at(cap)
+    # a monomial outside the window is dropped and taints every sum
+    out = form(outside, 1)
+    assert out.overflow and out.coeffs == {}
+    assert not a.overflow
+    assert (a + out).overflow and (out + a).overflow and (-out).overflow
+    assert (a + out).coeffs == a.coeffs
+    assert out.scale(field.from_int(2)).overflow
+    # guards: chart index, degree, window, and a form of the other class
+    for bad in (form(k0, n=2), form(k0, degree=1), form(k0, window=small),
+                other_class()):
+        with pytest.raises(ChartMismatch):
+            form(k0) + bad
+        with pytest.raises(ChartMismatch):
+            bad + form(k0)
+        with pytest.raises(ChartMismatch):
+            form(k0) - bad

@@ -135,10 +135,12 @@ def test_tate_unit_branch_point_exits_two(capsys):
     (["tate", "--p", "5", "--r", "1", "--q", "1/0"], "division by zero"),
     (["log", "--p", "5", "--eval", "0"], "zero"),
     (["tate", "--p", "5", "--r", "1", "--U", "-1"], "U"),
+    (["tate", "--p", "3", "--r", "1", "--U", "0"], "U"),
 ])
 def test_zero_or_negative_input_exits_two(argv, word, capsys):
     # a branch point, divisor or log argument that is zero at the working
-    # precision, and a negative U, are usage errors, not failed certificates
+    # precision, and a U below 1 (the class e2 carries u^[1]), are usage
+    # errors, not failed certificates
     assert word in _exits_two_with_one_line(argv, capsys)
 
 
