@@ -15,7 +15,19 @@ over the base scalars, the "dr" side uses fiber forms at a chosen point.
 
 Everything splits over the weight grading (weight of a Z monomial is -j,
 of a W monomial +j; all the structure maps are weight-homogeneous), which
-keeps the linear algebra per weight block small.
+keeps the linear algebra per weight block small. In weight 0 the
+differential also keeps the s-exponent i (nat and twist send s^i to s^i),
+so the weight-0 block splits further into one subcomplex per i.
+
+Only one piece carries cohomology: weight 0 with i = 0 on the hk side,
+weight 0 on the dr side. Every key off it is a monomial v^a w^b with
+(a, b) != (0, 0); filtered by u-order, its chart column is the Koszul
+complex of (a, b) on {dlog v, dlog w}, acyclic over Q, and a two-column
+Cech complex with acyclic columns is acyclic, in any window (the chart d
+keeps (i, j), and the u-cap cuts a subcomplex). On the dr side d(w^j) =
++-j for j != 0. So h_ranks eliminates the piece alone, once that premise
+is checked at run time for every (part, j, i) of the window, and class
+systems index only the sub-blocks their target and classes touch.
 
 On the hk side every structure constant of D is a small integer, so its
 matrix between two block bases is a fixed stencil: hk_D_rows writes it
@@ -34,12 +46,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .charts import _CHART_SLOTS, _FIBER_SLOTS, ChartElement, FiberElement
-from .errors import (AmbiguousSolve, ChartMismatch, NotACoboundary, NotInSpan,
-                     TaintedWindow)
+from .errors import (AmbiguousPivot, AmbiguousSolve, ChartMismatch,
+                     NotACoboundary, NotInSpan, TaintedWindow)
 from .field import FieldDescriptor, KElement
 from .kimhain import UForm
 from .linalg import (PrecMatrix, _back_substitute, _echelon_kernel,
                      _solve_echelon, _touching, int_echelon, rank_at)
+from .padic import vp
 
 # certificate floors sit SLACK digits under the working precision
 SLACK = 5
@@ -308,27 +321,41 @@ def part_weight(part: str, j: int) -> int:
     return -j if part == "Z" else j
 
 
-def cochain_weights(c: CechCochain):
-    """Sorted list of weights carrying a coefficient of the cochain."""
+def _exponents(part: str, j: int, i: int):
+    """Exponents (a, b) of the hk chart monomial with key (i, j) on a
+    `part` chart, written v^a w^b."""
+    if part == "Z":
+        return i + max(j, 0), i + max(-j, 0)
+    return i, i + j
+
+
+def cochain_blocks(c: CechCochain) -> set:
+    """The (weight, s-exponent) pairs carrying a coefficient of the
+    cochain; the s-exponent is 0 on the dr side."""
     found = set()
     for part, _, el in c.parts():
         if c.spec.side == "hk":
             for _, chart_el in el.items():
-                for (_, j, _) in chart_el.coeffs:
-                    found.add(part_weight(part, j))
+                for (i, j, _) in chart_el.coeffs:
+                    found.add((part_weight(part, j), i))
         else:
             for (j, _) in el.coeffs:
-                found.add(part_weight(part, j))
-    return sorted(found)
+                found.add((part_weight(part, j), 0))
+    return found
 
 
 class BlockIndex:
-    """Ordered basis of the given weight blocks of one cochain degree."""
+    """Ordered basis of the given weight blocks of one cochain degree.
 
-    def __init__(self, spec: CechSpec, degree: int, weights):
+    levels, when given, keeps only those s-exponents i in the weight-0
+    block, each a subcomplex there; blocks of other weights are whole, as
+    D mixes i in them."""
+
+    def __init__(self, spec: CechSpec, degree: int, weights, levels=None):
         self.spec = spec
         self.degree = degree
         self.weights = sorted(set(weights))
+        self.levels = None if levels is None else sorted(set(levels))
         self.keys = []
         for wt in self.weights:
             self.keys.extend(self._block(wt))
@@ -336,6 +363,9 @@ class BlockIndex:
 
     def _block(self, wt):
         spec = self.spec
+        top = spec.S if spec.side == "hk" else 0
+        levels = range(top + 1) if wt or self.levels is None else self.levels
+        ulevels = range(spec.U + 1) if spec.side == "hk" else (0,)
         keys = []
         for part, deg in (("Z", _ZDEG[self.degree]), ("W", _WDEG[self.degree])):
             if deg is None:
@@ -344,15 +374,9 @@ class BlockIndex:
             if abs(j) > spec.T:
                 continue
             slots = spec.slots(deg)
-            for n in range(1, spec.r + 1):
-                if spec.side == "hk":
-                    for i in range(spec.S + 1):
-                        for u in range(spec.U + 1):
-                            for slot in slots:
-                                keys.append((wt, part, n, i, u, slot))
-                else:
-                    for slot in slots:
-                        keys.append((wt, part, n, 0, 0, slot))
+            keys.extend((wt, part, n, i, u, slot)
+                        for n in range(1, spec.r + 1) for i in levels
+                        for u in ulevels for slot in slots)
         return keys
 
     def __len__(self):
@@ -481,12 +505,7 @@ def hk_D_rows(src: BlockIndex, tgt: BlockIndex):
     tainted = False
     for col, (wt, part, n, i, u, slot) in enumerate(src.keys):
         fdeg = degree if part == "Z" else degree - 1
-        if part == "Z":
-            j = -wt
-            a, b = i + max(j, 0), i + max(-j, 0)
-        else:
-            j = wt
-            a, b = i, i + j
+        a, b = _exponents(part, -wt if part == "Z" else wt, i)
         # (part, n, i, u, slot, coefficient) of the image, all of weight wt
         terms = []
         if fdeg == 0:
@@ -525,12 +544,13 @@ def hk_D_rows(src: BlockIndex, tgt: BlockIndex):
     return rows, tainted
 
 
-def _block_h_direct(spec: CechSpec, wt: int, floor_pi: int):
-    """Naive per-weight ranks of the truncated complex (one weight block).
+def _block_h_direct(spec: CechSpec, wt: int, floor_pi: int, levels=None):
+    """Naive per-weight ranks of the truncated complex (one weight block,
+    or in weight 0 its sub-block of the given s-exponents).
 
     On the hk side the echelon of each D_d (int_echelon, keyed by degree)
     is returned too, so that the kernels are read off it."""
-    idx = {d: BlockIndex(spec, d, [wt]) for d in range(4)}
+    idx = {d: BlockIndex(spec, d, [wt], levels) for d in range(4)}
     dims = {d: len(idx[d]) for d in range(4)}
     ranks = {}
     echelons = {}
@@ -570,10 +590,11 @@ def _block_h_stable(spec: CechSpec, wt: int, degree: int, idx, echelons) -> int:
     if not kernel:
         return 0
     big = spec.resized(spec.S, spec.T, spec.U + 2)
-    tgt = BlockIndex(big, degree, [wt])
+    levels = idx[degree].levels
+    tgt = BlockIndex(big, degree, [wt], levels)
     nb = 0
     if degree > 0:
-        src = BlockIndex(big, degree - 1, [wt])
+        src = BlockIndex(big, degree - 1, [wt], levels)
         rows, _ = hk_D_rows(src, tgt)
         nb = len(src)
     else:
@@ -584,30 +605,47 @@ def _block_h_stable(spec: CechSpec, wt: int, degree: int, idx, echelons) -> int:
     return sum(1 for c in int_echelon(rows, nb + len(kernel)) if c >= nb)
 
 
+def _check_acyclic_off_piece(spec: CechSpec, floor_pi: int):
+    """Raise AmbiguousPivot unless every (part, j, i) of the window off
+    the piece is acyclic: on hk its exponents (a, b) are not (0, 0); on dr
+    d(w^j) = +-j is a pivot certified at floor_pi, e v_p(j) below it."""
+    e, p = spec.field.e, spec.field.ctx.p
+    levels = range(spec.S + 1) if spec.side == "hk" else (0,)
+    for part in ("Z", "W"):
+        for j in range(-spec.T, spec.T + 1):
+            for i in levels:
+                if (j, i) == (0, 0):
+                    continue
+                if spec.side == "hk":
+                    if _exponents(part, j, i) != (0, 0):
+                        continue
+                elif e * vp(j, p) < floor_pi:
+                    continue
+                raise AmbiguousPivot(
+                    f"{spec.side} block at part {part}, j={j}, i={i} is not "
+                    f"certified acyclic at the floor {floor_pi}")
+
+
 def h_ranks(spec: CechSpec):
     """Cohomology rank estimate of the truncated complex, per degree.
 
-    Splits over the weight grading. Weight blocks whose naive ranks vanish
-    contribute nothing; the rest are refined to the rank surviving one more
-    u-level, which removes the u-cap boundary artifacts on the hk side.
-    Returns (ranks, tainted); tainted reports window overflow inside any
-    block that contributed to the estimate. dr ranks are certified at the
-    floor SLACK digits under the cap."""
+    Eliminates only the piece that carries cohomology (module docstring),
+    once every block off it is checked to be acyclic. Its naive ranks are
+    refined to the rank surviving two more u-levels, which removes the
+    u-cap boundary artifacts on the hk side. Returns (ranks, tainted);
+    tainted reports window overflow inside the piece when it has
+    cohomology. dr ranks are certified at the floor SLACK digits under the
+    cap."""
     floor_pi = spec.cap() - SLACK * spec.field.e
+    _check_acyclic_off_piece(spec, floor_pi)
+    h, idx, echelons, tainted = _block_h_direct(spec, 0, floor_pi, [0])
     out = {d: 0 for d in range(4)}
-    tainted = False
-    for wt in range(-spec.T, spec.T + 1):
-        h, idx, echelons, t = _block_h_direct(spec, wt, floor_pi)
-        if not any(h.values()):
-            continue
-        tainted = tainted or t
-        for d in range(4):
-            if not h[d]:
-                continue
-            if spec.side == "hk":
-                out[d] += _block_h_stable(spec, wt, d, idx, echelons)
-            else:
-                out[d] += h[d]
+    if not any(h.values()):
+        return out, False
+    for d in range(4):
+        if h[d]:
+            out[d] = _block_h_stable(spec, 0, d, idx, echelons) \
+                if spec.side == "hk" else h[d]
     return out, tainted
 
 
@@ -622,15 +660,21 @@ def is_cocycle(c: CechCochain, floor_pi: int):
 
 def _solve_indices(target: CechCochain, classes):
     """Block indices (src, tgt) of D(witness) + sum_k coords[k] classes[k] =
-    target: the weights the target and classes carry, in the target degree
-    and the one below (src is None in degree 0)."""
-    weights = set(cochain_weights(target))
+    target, in the target degree and the one below (src is None in degree
+    0): the weights the target and classes carry, and in weight 0 only the
+    s-exponents they carry. The other sub-blocks of weight 0 are direct
+    summands that hold neither target nor classes, so leaving them out
+    changes neither the solution nor its pivots."""
+    blocks = cochain_blocks(target)
     for cl in classes:
-        weights.update(cochain_weights(cl))
-    weights = weights or {0}
+        blocks |= cochain_blocks(cl)
+    blocks = blocks or {(0, 0)}
+    weights = {wt for wt, _ in blocks}
+    levels = {i for wt, i in blocks if wt == 0}
     spec = target.spec
-    tgt = BlockIndex(spec, target.degree, weights)
-    src = BlockIndex(spec, target.degree - 1, weights) if target.degree else None
+    tgt = BlockIndex(spec, target.degree, weights, levels)
+    src = BlockIndex(spec, target.degree - 1, weights, levels) \
+        if target.degree else None
     return src, tgt
 
 

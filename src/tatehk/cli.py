@@ -7,7 +7,8 @@ Subcommands:
   report-diff  compare two report files up to their stated precision
 
 Exit codes: 0 on success, 1 when a certificate fails (or reports differ,
-or a suite fails), 2 on usage errors.
+or a suite fails, or the reader closes standard output early), 2 on usage
+errors.
 """
 
 from __future__ import annotations
@@ -179,10 +180,18 @@ def main(argv=None) -> int:
         "report-diff": _cmd_report_diff,
     }[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()
     except CertificationError as err:
         print(f"hk {args.command}: certification failure: {err}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader closed the pipe (hk tate | head): stop without a
+        # traceback, and send what is left to devnull so that the flush at
+        # exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

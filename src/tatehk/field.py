@@ -48,6 +48,8 @@ class FieldDescriptor:
         return self.ctx.p
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, FieldDescriptor)
                 and self.ctx == other.ctx and self.coeffs == other.coeffs)
 

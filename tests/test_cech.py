@@ -6,15 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from tatehk.cech import (BlockIndex, CechCochain, CechSpec, cech_D,
+import tatehk.cech as cech
+from tatehk.cech import (SLACK, BlockIndex, CechCochain, CechSpec, cech_D,
                          cech_frobenius, cech_N, cech_partial, cech_psi,
                          class_e1, class_e2, coboundary_witness,
-                         cochain_weights, express_in_classes, h_ranks,
+                         cochain_blocks, express_in_classes, h_ranks,
                          hk_D_rows, operator_int_rows, operator_matrix,
                          top_class, unit_class, _block_h_direct,
-                         _block_h_stable, _hk_solve, _hk_system)
-from tatehk.errors import (AmbiguousSolve, ChartMismatch, NotACoboundary,
-                           NotInSpan, TaintedWindow)
+                         _block_h_stable, _hk_solve, _hk_system,
+                         _solve_indices)
+from tatehk.errors import (AmbiguousPivot, AmbiguousSolve, ChartMismatch,
+                           NotACoboundary, NotInSpan, TaintedWindow)
 from tatehk.field import FieldDescriptor, KElement, parse_eisenstein
 from tatehk.padic import PadicContext, PadicScalar
 
@@ -198,6 +200,91 @@ def test_h_ranks():
         assert not tainted
 
 
+def h_ranks_over_all_blocks(spec):
+    """The rank estimate summed over every weight block, each eliminated
+    whole: the computation h_ranks reduces to one piece."""
+    floor_pi = spec.cap() - SLACK * spec.field.e
+    out, tainted = {d: 0 for d in range(4)}, False
+    for wt in range(-spec.T, spec.T + 1):
+        h, idx, echelons, t = _block_h_direct(spec, wt, floor_pi)
+        if not any(h.values()):
+            continue
+        tainted = tainted or t
+        for d in range(4):
+            if h[d]:
+                out[d] += _block_h_stable(spec, wt, d, idx, echelons) \
+                    if spec.side == "hk" else h[d]
+    return out, tainted
+
+
+def test_cohomology_lives_on_one_piece():
+    """Off the piece (weight 0, i = 0 on hk; weight 0 on dr) every block is
+    acyclic: naive h = 0 by int_echelon on the stencil (hk) and rank_at
+    (dr) on every (side, degree, weight, i) block, where only weight 0 is
+    split by i, into subcomplexes summing to the whole block. And h_ranks
+    on the piece equals the sum over all weight blocks, tainted flag too."""
+    qp5 = FieldDescriptor.base(RCTX)
+    hk = [hk_spec(r, S=s, T=s, U=U) for r in (1, 2, 3) for s in (3, 5)
+          for U in (1, 3)] + [CechSpec(2, "hk", qp5, S=5, T=5, U=3)]
+    dr = [dr_spec(r, S=s, T=s) for r in (1, 2, 3) for s in (3, 5)] \
+        + [CechSpec(2, "dr", QP, S=3, T=3, U=0, point=QP.pi())]
+    for spec in hk + dr:
+        floor_pi = spec.cap() - SLACK * spec.field.e
+        levels = range(spec.S + 1) if spec.side == "hk" else (0,)
+        for wt in range(-spec.T, spec.T + 1):
+            whole, idx, _, _ = _block_h_direct(spec, wt, floor_pi)
+            if wt:
+                # levels split weight 0 only: D mixes i elsewhere
+                assert [idx[d].keys for d in range(4)] == \
+                    [BlockIndex(spec, d, [wt], [0]).keys for d in range(4)]
+                assert not any(whole.values()), (spec.side, spec.r, wt)
+                continue
+            total = {d: 0 for d in range(4)}
+            for i in levels:
+                h, _, _, _ = _block_h_direct(spec, 0, floor_pi, [i])
+                assert i == 0 or not any(h.values()), (spec.side, spec.r, i)
+                total = {d: total[d] + h[d] for d in range(4)}
+            assert total == whole
+        assert h_ranks(spec) == h_ranks_over_all_blocks(spec), \
+            (spec.side, spec.r, spec.S, spec.U)
+
+
+def test_piece_dims_and_class_systems_on_the_piece():
+    """At p=5, r=3, U=3 the piece has dims 12/36/36/12 against 13 times
+    that for the whole weight-0 block (S = 12), and the hk class systems of
+    Frobenius and monodromy on H^1 index the piece alone."""
+    spec = CechSpec(3, "hk", FieldDescriptor.base(RCTX), S=12, T=12, U=3)
+    piece = [len(BlockIndex(spec, d, [0], [0])) for d in range(4)]
+    assert piece == [12, 36, 36, 12]
+    assert [len(BlockIndex(spec, d, [0])) for d in range(4)] == \
+        [13 * n for n in piece]
+    e1, e2 = class_e1(spec), class_e2(spec)
+    for op in (cech_frobenius, cech_N):
+        src, tgt = _solve_indices(op(e2), [e1, e2])
+        assert (len(src), len(tgt)) == (12, 36)
+
+
+def test_h_ranks_refuses_a_failed_premise(monkeypatch):
+    """h_ranks raises instead of returning a rank when a block off the
+    piece is not certified acyclic."""
+    low = FieldDescriptor.base(PadicContext(3, 6))     # floor 1
+    for T, ok in ((2, True), (3, False)):
+        spec = CechSpec(1, "dr", low, S=T, T=T, U=0, point=low.pi())
+        if ok:
+            assert h_ranks(spec)[0] == {0: 1, 1: 2, 2: 1, 3: 0}
+            continue
+        # d(w^3) = 3 w^3 dlog w has valuation 1, not below the floor
+        with pytest.raises(AmbiguousPivot, match="j=-3"):
+            h_ranks(spec)
+    # an hk key off the piece with exponents (0, 0) would have a zero
+    # chart column: its block is not known to be acyclic
+    real = cech._exponents
+    monkeypatch.setattr(cech, "_exponents", lambda part, j, i: (0, 0)
+                        if (part, j, i) == ("W", 0, 1) else real(part, j, i))
+    with pytest.raises(AmbiguousPivot, match="part W, j=0, i=1"):
+        h_ranks(hk_spec(1, S=3, T=3, U=1))
+
+
 def fraction_rank_kernel(rows, ncols):
     """(rank, kernel basis) over Q of the first ncols columns of sparse
     integer rows, by Gauss-Jordan elimination in Fractions."""
@@ -270,7 +357,7 @@ def test_block_index_roundtrip():
     for spec in (hk_spec(2), dr_spec(2)):
         for degree in (0, 1, 2):
             c = random_cochain(rng, spec, degree)
-            weights = cochain_weights(c)
+            weights = {wt for wt, _ in cochain_blocks(c)}
             idx = BlockIndex(spec, degree, weights)
             vec = idx.vector(c)
             back = idx.cochain(vec)
@@ -365,9 +452,8 @@ def test_hk_class_solve_matches_fraction_oracle():
                 target = target + cech_D(
                     random_cochain(rng, spec, degree - 1, span=2, umax=1))
         # the oracle system [D | classes | target]
-        weights = set(cochain_weights(target))
-        for cl in classes:
-            weights.update(cochain_weights(cl))
+        weights = {wt for c in (target, *classes)
+                   for wt, _ in cochain_blocks(c)}
         tgt = BlockIndex(spec, degree, weights or {0})
         if degree:
             src = BlockIndex(spec, degree - 1, weights or {0})
@@ -384,11 +470,22 @@ def test_hk_class_solve_matches_fraction_oracle():
         # in reduced echelon, a kernel vector's free column is its last one
         free = {max(vec): vec for vec in kernel}
         # exact solve through the package: the internal Fractions and the
-        # public entry points
-        _, _, got_rows, _ = _hk_system(target, classes)
-        assert got_rows == rows
+        # public entry points. The package indexes only the sub-blocks the
+        # system touches (in weight 0, the s-exponents of target and
+        # classes); cols and tgt.pos carry its columns and rows to the
+        # oracle's, where they are the oracle's rows at those keys, and no
+        # other oracle row meets its columns
+        gsrc, gtgt, got_rows, _ = _hk_system(target, classes)
+        cols = [src.pos[k] for k in (gsrc.keys if degree else ())] \
+            + list(range(nsrc, nb + 1))
+        lifted = {tgt.pos[key]: {cols[c]: v for c, v in row.items()}
+                  for key, row in zip(gtgt.keys, got_rows)}
+        for i, row in enumerate(rows):
+            assert lifted[i] == row if i in lifted \
+                else not set(row) & set(cols)
+        gnsrc = len(gsrc or ())
         if nb not in free:
-            assert _hk_solve(got_rows, nsrc, len(classes)) is None
+            assert _hk_solve(got_rows, gnsrc, len(classes)) is None
             with pytest.raises(NotACoboundary if case == "coboundary" else NotInSpan):
                 if case == "coboundary":
                     coboundary_witness(target, CAP, allow_tainted=True)
@@ -404,7 +501,8 @@ def test_hk_class_solve_matches_fraction_oracle():
         vec = free[nb]
         want_coords = [-vec.get(c, 0) for c in range(nsrc, nb)]
         want_witness = {c: -v for c, v in vec.items() if c < nsrc and v}
-        coords, witness = _hk_solve(got_rows, nsrc, len(classes))
+        coords, witness = _hk_solve(got_rows, gnsrc, len(classes))
+        witness = {cols[c]: v for c, v in witness.items()}
         assert coords == want_coords and witness == want_witness
         # D(witness) + sum_k coords[k] classes[k] - target = 0 exactly
         x = dict(witness)

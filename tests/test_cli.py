@@ -1,9 +1,13 @@
 """Command line entry points."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tatehk
 from tatehk.cli import main
 
 
@@ -170,3 +174,17 @@ def test_tate_unwritable_out_exits_two_before_the_job(tmp_path, capsys,
         err = _exits_two_with_one_line(
             ["tate", "--p", "3", "--r", "1", "--out", str(out)], capsys)
         assert "--out" in err
+
+
+def test_tate_into_a_closed_pipe_exits_without_traceback():
+    # the reader end is closed before the job prints (hk tate | head -c 0)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tatehk.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tatehk.cli", "tate", "--p", "3", "--r", "1",
+         "--prec", "12"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src))
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert err == ""
