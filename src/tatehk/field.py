@@ -5,6 +5,12 @@ PadicScalar coefficients, reduced modulo f(pi) = 0. The base field is
 the degenerate case e = 1 with f = s - p, so Q_p needs no special code
 path. Both the pi-adic valuation (integer) and the p-adic valuation
 (rational, ord_pi / e) are exposed.
+
+Digits are read off on plain integers, not by K arithmetic: the
+coefficients are lifted once mod p^M, and each step emits d = c_0 mod p
+and divides x - d by pi as ((c_0 - d)/p) * (p/pi) + (c_1 + c_2 pi + ...).
+p/pi has p-integral coefficients because v_p(a_0) = 1. Over Q_p itself
+(f = s - p) p/pi = 1, so the same recurrence is divmod by p.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from .padic import PadicContext, PadicScalar, teichmuller, vp
 class FieldDescriptor:
     """K = Q_p[s]/(f) for monic Eisenstein f = s^e + a_{e-1} s^{e-1} + ... + a_0."""
 
-    __slots__ = ("ctx", "coeffs", "e", "_pi_inv", "_pi_pows")
+    __slots__ = ("ctx", "coeffs", "e", "p_over_pi", "_pi_inv", "_pi_pows")
 
     def __init__(self, ctx: PadicContext, coeffs: tuple):
         """coeffs are the non-leading coefficients (a_0, ..., a_{e-1}) as ints or Fractions."""
@@ -35,6 +41,9 @@ class FieldDescriptor:
         self.ctx = ctx
         self.coeffs = coeffs
         self.e = len(coeffs)
+        # p/pi = -(p/a_0)(pi^{e-1} + sum_{i>=1} a_i pi^{i-1}): p-integral, as v_p(a_0) = 1
+        unit = -ctx.p / coeffs[0]
+        self.p_over_pi = tuple(unit * c for c in coeffs[1:] + (Fraction(1),))
         self._pi_inv = None
         self._pi_pows = None
 
@@ -327,20 +336,35 @@ class KElement:
     # -- serialization -------------------------------------------------------
 
     def pi_digits(self, n: int | None = None) -> list:
-        """First n pi-adic digits d_j in {0..p-1}, x = sum d_j pi^j + O(pi^n)."""
-        if n is None:
-            n = self.cert_prec_pi()
-        n = min(n, self.cert_prec_pi())
+        """First n pi-adic digits d_j in {0..p-1}, x = sum d_j pi^j + O(pi^n).
+
+        One integer recurrence for every e: the coefficients are lifted
+        once and reduced mod p^M, M = ceil(n/e) + 1. Each step emits
+        d = c_0 mod p and replaces x by (x - d)/pi = ((c_0 - d)/p)*(p/pi)
+        + (c_1 + c_2 pi + ...), where p/pi has p-integral coefficients.
+        The truncation is an error of pi-valuation >= e*M, each step lowers
+        it by one, so all n digits are exact.
+        """
+        cert = self.cert_prec_pi()
+        n = cert if n is None else min(n, cert)
+        if n <= 0:
+            return []
+        v = self.ord_pi_or_none()
+        if v is not None and v < 0:
+            raise ValueError("negative valuation has no digit expansion")
         fld = self.field
         p = fld.ctx.p
-        x = self
+        mod = p ** (-(-n // fld.e) + 1)
+        w = [c.numerator * pow(c.denominator, -1, mod) % mod for c in fld.p_over_pi]
+        c = [x.lift() % mod for x in self.coeffs]
+        top = fld.e - 1
         digits = []
-        for j in range(n):
-            if x.ord_pi_or_none() is not None and x.ord_pi() < 0:
-                raise ValueError("negative valuation has no digit expansion")
-            d = x.coeffs[0].residue()
+        for _ in range(n):
+            q, d = divmod(c[0], p)
             digits.append(d)
-            x = (x - fld.from_int(d)) * fld.pi_inv()
+            for k in range(top):
+                c[k] = (q * w[k] + c[k + 1]) % mod
+            c[top] = q * w[top] % mod
         return digits
 
     def expansion_str(self, n: int | None = None) -> str:

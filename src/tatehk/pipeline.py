@@ -67,6 +67,12 @@ class JobSpec:
         if self.T < p or self.S < p:
             raise ValueError("windows must at least contain the Frobenius image "
                              "of the class monomials")
+        if self.T >= p ** (prec - SLACK):
+            # d(w^j) = +-j is no certified pivot once v_p(j) reaches the floor
+            raise ValueError(f"window T = {self.T} must stay below "
+                             f"p^(prec - {SLACK}) = {p ** (prec - SLACK)}, or "
+                             "a de Rham block off weight 0 is not certified "
+                             "acyclic")
         self.ctx = ctx
         self.field = parse_eisenstein(eisenstein, ctx) if eisenstein \
             else FieldDescriptor.base(ctx)

@@ -58,6 +58,15 @@ def test_log_evaluates_branch(capsys):
     assert "pi" in out
 
 
+def test_log_prints_every_certified_digit(capsys):
+    # at e = 4 the last certified digit, at pi^79, is printed and right
+    code = main(["log", "--p", "5", "--prec", "20", "--field", "s^4+5*s^3+5",
+                 "--q", "p", "--eval", "1+pi"])
+    assert code == 0
+    log = json.loads(capsys.readouterr().out)["log"]
+    assert log.endswith(" + 2*pi^78 + 2*pi^79 + O(pi^80)")
+
+
 def test_log_reports_branch_constant(capsys):
     code = main(["log", "--p", "5", "--prec", "12", "--q", "p"])
     assert code == 0
@@ -140,10 +149,12 @@ def test_tate_unit_branch_point_exits_two(capsys):
     (["log", "--p", "5", "--eval", "0"], "zero"),
     (["tate", "--p", "5", "--r", "1", "--U", "-1"], "U"),
     (["tate", "--p", "3", "--r", "1", "--U", "0"], "U"),
+    (["tate", "--p", "3", "--r", "1", "--prec", "8", "--T", "27"], "T = 27"),
 ])
 def test_zero_or_negative_input_exits_two(argv, word, capsys):
     # a branch point, divisor or log argument that is zero at the working
-    # precision, and a U below 1 (the class e2 carries u^[1]), are usage
+    # precision, a U below 1 (the class e2 carries u^[1]) and a window T that
+    # reaches p^(prec - SLACK) (d(w^T) is then no certified pivot) are usage
     # errors, not failed certificates
     assert word in _exits_two_with_one_line(argv, capsys)
 

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tatehk.errors import (AmbiguousValuation, DivisionByIndistinguishableZero,
                            NotAOneUnit)
@@ -288,3 +290,78 @@ def test_digit_expansion_roundtrip():
             for j, d in enumerate(digits):
                 back = back + fld.pi() ** j * fld.from_int(d)
             assert (back - x).is_zero_at(12)
+
+
+# e = 1, 2, 3, 4 for p = 3, 5, 7; on the cubic and quartic ones a division
+# by pi in K loses more than one digit, so digits must not come from K
+DIGIT_FIELDS = [parse_eisenstein(f.format(p=p, pp=p * p, p2=2 * p),
+                                  PadicContext(p, 10))
+                for p in (3, 5, 7)
+                for f in ("s-{p}", "s+{p}", "s^2-{p}", "s^2+{p}/2*s+{p}",
+                          "s^3-{p}", "s^3+{pp}*s^2-{p}", "s^3+{p}*s+{p2}",
+                          "s^4+{p}*s^3+{p}", "s^4-{p2}")]
+
+
+def _digit_sum(fld, digits):
+    """sum d_j pi^j in Q[s]/(f) by Horner's rule, with no KElement."""
+    acc = [Fraction(0)] * fld.e
+    for d in reversed(digits):
+        top = acc[-1]
+        acc = [a - top * c for a, c in zip([Fraction(0)] + acc[:-1], fld.coeffs)]
+        acc[0] += d
+    return acc
+
+
+@st.composite
+def _digit_cases(draw):
+    """(x, n): an element of mixed per-coefficient precision and a digit count."""
+    fld = draw(st.sampled_from(DIGIT_FIELDS))
+    ctx, p, cap = fld.ctx, fld.p, fld.ctx.prec
+    coeffs = []
+    for _ in range(fld.e):
+        kind = draw(st.sampled_from(("int", "zero", "power", "rational")))
+        if kind == "int":
+            coeffs.append(PadicScalar.from_int(
+                ctx, draw(st.integers(-p ** cap, p ** cap)), draw(st.integers(0, cap))))
+        elif kind == "zero":
+            coeffs.append(PadicScalar.zero(ctx, draw(st.integers(0, cap))))
+        elif kind == "power":  # known to cap + k, above the cap
+            coeffs.append(PadicScalar.from_int(ctx, p ** draw(st.integers(0, 4))))
+        else:
+            q = Fraction(draw(st.integers(-10 ** 6, 10 ** 6)),
+                         draw(st.sampled_from((1, 2, 11, 13))))
+            coeffs.append(PadicScalar.from_rational(ctx, q))
+    n = draw(st.none() | st.integers(-2, fld.e * cap + 6))
+    return KElement(fld, tuple(coeffs)), n
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(_digit_cases())
+def test_pi_digits_against_exact_oracle(case):
+    """x - sum d_j pi^j = 0 mod pi^n, with x's coefficient lifts and the sum
+    taken exactly in Q[s]/(f); n is capped at the certified precision."""
+    x, n = case
+    fld = x.field
+    want = x.cert_prec_pi() if n is None else min(n, x.cert_prec_pi())
+    digits = x.pi_digits(n)
+    assert len(digits) == max(want, 0)
+    assert all(0 <= d < fld.p for d in digits)
+    residual = [Fraction(c.lift()) - s
+                for c, s in zip(x.coeffs, _digit_sum(fld, digits))]
+    if any(residual):
+        assert _exact_pi_val(fld, residual) >= want
+
+
+def test_pi_digits_of_zero_and_of_negative_valuation():
+    for fld in DIGIT_FIELDS:
+        cap = fld.e * fld.ctx.prec
+        zero = fld.zero()
+        assert zero.pi_digits() == [0] * cap
+        assert zero.pi_digits(3) == [0] * 3
+        assert zero.pi_digits(cap + 5) == [0] * cap
+        low = KElement(fld, (PadicScalar.zero(fld.ctx, 2),) + zero.coeffs[1:])
+        assert low.pi_digits(cap) == [0] * min(cap, 2 * fld.e)
+        for neg in (fld.pi_inv(), fld.from_rational(Fraction(1, fld.p))):
+            with pytest.raises(ValueError, match="negative valuation"):
+                neg.pi_digits(4)
+            assert neg.pi_digits(0) == []
