@@ -11,6 +11,9 @@ coefficients are lifted once mod p^M, and each step emits d = c_0 mod p
 and divides x - d by pi as ((c_0 - d)/p) * (p/pi) + (c_1 + c_2 pi + ...).
 p/pi has p-integral coefficients because v_p(a_0) = 1. Over Q_p itself
 (f = s - p) p/pi = 1, so the same recurrence is divmod by p.
+
+Every multiplication by a power of pi, inverses and unit_decompose
+included, is KElement.shift: one digit per step, through pi^-1 = (p/pi)/p.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .padic import PadicContext, PadicScalar, teichmuller, vp
 class FieldDescriptor:
     """K = Q_p[s]/(f) for monic Eisenstein f = s^e + a_{e-1} s^{e-1} + ... + a_0."""
 
-    __slots__ = ("ctx", "coeffs", "e", "p_over_pi", "_pi_inv", "_pi_pows")
+    __slots__ = ("ctx", "coeffs", "e", "p_over_pi", "_pi_pows")
 
     def __init__(self, ctx: PadicContext, coeffs: tuple):
         """coeffs are the non-leading coefficients (a_0, ..., a_{e-1}) as ints or Fractions."""
@@ -44,7 +47,6 @@ class FieldDescriptor:
         # p/pi = -(p/a_0)(pi^{e-1} + sum_{i>=1} a_i pi^{i-1}): p-integral, as v_p(a_0) = 1
         unit = -ctx.p / coeffs[0]
         self.p_over_pi = tuple(unit * c for c in coeffs[1:] + (Fraction(1),))
-        self._pi_inv = None
         self._pi_pows = None
 
     @classmethod
@@ -104,24 +106,10 @@ class FieldDescriptor:
         return KElement(self, tuple(c))
 
     def pi(self) -> "KElement":
-        if self.e == 1:
-            return self.from_rational(-self.coeffs[0])
-        c = [PadicScalar.zero(self.ctx) for _ in range(self.e)]
-        c[1] = PadicScalar.from_int(self.ctx, 1)
-        return KElement(self, tuple(c))
+        return self.one().shift(1)
 
     def pi_inv(self) -> "KElement":
-        """pi^-1 = -(pi^{e-1} + sum_{i>=1} a_i pi^{i-1}) / a_0."""
-        if self._pi_inv is None:
-            if self.e == 1:
-                self._pi_inv = self.from_rational(Fraction(-1, 1) / self.coeffs[0])
-            else:
-                body = [PadicScalar.from_rational(self.ctx, self.coeffs[j + 1])
-                        for j in range(self.e - 1)]
-                body.append(PadicScalar.from_int(self.ctx, 1))
-                a0 = PadicScalar.from_rational(self.ctx, self.coeffs[0])
-                self._pi_inv = KElement(self, tuple(-(c / a0) for c in body))
-        return self._pi_inv
+        return self.one().shift(-1)
 
     def reduction_rows(self):
         """Coefficient rows of pi^e, ..., pi^(2e-2) on the basis pi^0..pi^{e-1}."""
@@ -251,7 +239,31 @@ class KElement:
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return other * self.inverse()
+
+    def shift(self, k: int) -> "KElement":
+        """self * pi^k, one exact step per power of pi.
+
+        A step down moves c_0 to c_0 * pi^-1, whose coefficients are
+        p_over_pi / p; a step up folds c_{e-1} pi^e back by pi^e = -sum a_i pi^i.
+        A step down costs at most one digit of certified precision (exactly
+        one when c_0 is nonzero and every coefficient is known to the cap);
+        a step up gains one, up to the cap.
+        A coefficient that is zero at the cap is exact, as in __mul__.
+        """
+        fld, ctx = self.field, self.field.ctx
+        fold = [c / ctx.p for c in fld.p_over_pi] if k < 0 else [-c for c in fld.coeffs]
+        fold = [(i, PadicScalar.from_rational(ctx, c)) for i, c in enumerate(fold) if c]
+        exact = PadicScalar.zero(ctx, 2 * ctx.prec)  # as in the sums of __mul__
+        cs = [exact if c.is_zero() and c.prec >= ctx.prec else c for c in self.coeffs]
+        for _ in range(abs(k)):
+            c, cs = (cs[0], cs[1:] + [exact]) if k < 0 else (cs[-1], [exact] + cs[:-1])
+            if not (c.is_zero() and c.prec >= ctx.prec):
+                for i, w in fold:
+                    cs[i] = cs[i] + c * w
+        return KElement(fld, tuple(cs))
 
     def inverse(self) -> "KElement":
         a = self.ord_pi()
@@ -263,22 +275,14 @@ class KElement:
     def _inverse_newton(self, a: int) -> "KElement":
         """Inverse of an element of pi-adic valuation a by Newton iteration."""
         fld = self.field
-        u = self
-        if a != 0:
-            shift = fld.pi_inv() ** a if a > 0 else fld.pi() ** (-a)
-            u = self * shift
+        u = self.shift(-a)
         # u is now a unit: c_0 is a p-adic unit. Newton: z -> z(2 - uz).
-        c0 = u.coeffs[0]
-        z = fld.embed_scalar(1 / c0)
+        z = fld.embed_scalar(1 / u.coeffs[0])
         two = fld.from_int(2)
         steps = max(1, (fld.e * fld.ctx.prec).bit_length() + 1)
         for _ in range(steps):
             z = z * (two - u * z)
-        inv_u = z
-        if a == 0:
-            return inv_u
-        shift = fld.pi_inv() ** a if a > 0 else fld.pi() ** (-a)
-        return inv_u * shift
+        return z.shift(-a)
 
     # -- valuation and predicates -------------------------------------------
 
@@ -291,14 +295,18 @@ class KElement:
         return v
 
     def ord_pi_or_none(self):
-        e = self.field.e
-        best = None
+        """pi-adic valuation, or None when x is zero at its precision: also
+        when a coefficient that is zero below the cap hides the leading one."""
+        e, cap = self.field.e, self.field.ctx.prec
+        best = hidden = None
         for i, c in enumerate(self.coeffs):
             if not c.is_zero():
                 v = e * c.val + i
                 if best is None or v < best:
                     best = v
-        return best
+            elif c.prec < cap and (hidden is None or e * c.prec + i < hidden):
+                hidden = e * c.prec + i
+        return None if hidden is not None and best is not None and hidden < best else best
 
     def ord_p(self) -> Fraction:
         return Fraction(self.ord_pi(), self.field.e)
@@ -372,8 +380,7 @@ class KElement:
         prec = self.cert_prec_pi() if n is None else min(n, self.cert_prec_pi())
         v = self.ord_pi_or_none()
         if v is not None and v < 0:
-            shifted = self * (self.field.pi() ** (-v))
-            inner = shifted.expansion_str(prec - v if n is None else n)
+            inner = self.shift(-v).expansion_str(prec - v if n is None else n)
             return f"pi^{v}*({inner})"
         digits = self.pi_digits(prec)
         terms = []
@@ -404,14 +411,13 @@ def k_teichmuller(x: KElement) -> KElement:
 def unit_decompose(x: KElement):
     """x = pi^a * omega * u with omega Teichmuller and u a one-unit.
 
-    Returns (a, omega, u). Requires x certified nonzero.
+    Returns (a, omega, u); omega is a Q_p scalar, so u takes one p-adic
+    division and no inverse in K. Requires x certified nonzero.
     """
     a = x.ord_pi()
-    fld = x.field
-    y = x * (fld.pi_inv() ** a if a > 0 else fld.pi() ** (-a)) if a else x
+    y = x.shift(-a)
     omega = k_teichmuller(y)
-    u = y / omega
-    return a, omega, u
+    return a, omega, y.scale(1 / omega.coeffs[0])
 
 
 # -- parsing ------------------------------------------------------------------

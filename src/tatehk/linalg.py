@@ -118,14 +118,17 @@ class PrecMatrix:
 
 
 class EchelonResult:
-    """Reduced echelon data: pivots is a list of (row, col); ambiguity maps a
-    pivotless column to the worst precision of a skipped numerically-zero entry."""
+    """Reduced echelon data: pivots is a list of (row, col) and pivot_values
+    the entries found there before their row was scaled to 1; ambiguity maps
+    a pivotless column to the worst precision of a skipped numerically-zero
+    entry."""
 
-    __slots__ = ("echelon", "pivots", "ambiguity")
+    __slots__ = ("echelon", "pivots", "pivot_values", "ambiguity")
 
-    def __init__(self, echelon, pivots, ambiguity):
+    def __init__(self, echelon, pivots, pivot_values, ambiguity):
         self.echelon = echelon
         self.pivots = pivots
+        self.pivot_values = pivot_values
         self.ambiguity = ambiguity
 
     def rank_at(self, floor_pi: int) -> int:
@@ -148,6 +151,7 @@ def row_reduce(a: PrecMatrix, max_cols: int | None = None) -> EchelonResult:
     work = a.copy()
     ncols = a.ncols if max_cols is None else max_cols
     pivots = []
+    pivot_values = []
     ambiguity = {}
     pivot_rows = set()
     for col in range(ncols):
@@ -173,6 +177,7 @@ def row_reduce(a: PrecMatrix, max_cols: int | None = None) -> EchelonResult:
             continue
         (_, pi_row), pivot_val = best
         pivots.append((pi_row, col))
+        pivot_values.append(pivot_val)
         pivot_rows.add(pi_row)
         prow = work.rows[pi_row]
         inv = pivot_val.inverse()
@@ -197,7 +202,7 @@ def row_reduce(a: PrecMatrix, max_cols: int | None = None) -> EchelonResult:
                 else:
                     row[j] = nxt
             row.pop(col, None)  # eliminated exactly by construction
-    return EchelonResult(work, pivots, ambiguity)
+    return EchelonResult(work, pivots, pivot_values, ambiguity)
 
 
 def solve(a: PrecMatrix, b: dict, floor_pi: int):
@@ -247,7 +252,6 @@ def kernel_basis(a: PrecMatrix, floor_pi: int) -> list:
     res = row_reduce(a)
     res.rank_at(floor_pi)
     pivot_cols = {c for _, c in res.pivots}
-    col_of_row = {r: c for r, c in res.pivots}
     basis = []
     for f in range(a.ncols):
         if f in pivot_cols:

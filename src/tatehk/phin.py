@@ -10,6 +10,8 @@ against the uniformizer of K and is what cocycle calculus produces; the
 invariant one, n_ordp = n_pi / e, counts against ord_p and does not move
 under ramified base change. Branch transport of period matrices is the
 unipotent factor exp(c * n_ordp) with c = log_q(q') / ord_p(q').
+
+Determinants and inverses come from the one eliminator, linalg.row_reduce.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 import math
 
-from .errors import NotNilpotent
+from .errors import AmbiguousValuation, NotNilpotent
 from .field import FieldDescriptor, KElement
-from .linalg import PrecMatrix
+from .linalg import PrecMatrix, row_reduce
 from .plog import LogBranch
 
 
@@ -43,51 +45,44 @@ def matrix_is_zero_at(a: PrecMatrix, floor_pi: int) -> bool:
 
 
 def matrix_det(a: PrecMatrix) -> KElement:
-    """Laplace expansion; meant for the small matrices of these modules."""
+    """The pivots of row_reduce(a) multiplied, signed by the order of their rows.
+
+    When a column has no pivot, the rows left over are zero there, and the
+    determinant is zero to the precision of the least precise such entry
+    (exactly zero when there is none)."""
     if a.nrows != a.ncols:
         raise ValueError("determinant of a non-square matrix")
-    n = a.nrows
-    if n == 0:
-        return a.field.one()
-    if n == 1:
-        return a.entry(0, 0)
-    total = a.field.zero()
-    sign = 1
-    for j in range(n):
-        top = a.entry(0, j)
-        minor = PrecMatrix(a.field, n - 1, n - 1)
-        for i in range(1, n):
-            for k in range(n):
-                if k == j:
-                    continue
-                minor.set_entry(i - 1, k if k < j else k - 1, a.entry(i, k))
-        term = top * matrix_det(minor)
-        total = total + (term if sign > 0 else -term)
-        sign = -sign
-    return total
+    res = row_reduce(a)
+    rows = [r for r, _ in res.pivots]
+    det = a.field.one()
+    for v in res.pivot_values:
+        det = det * v
+    for col in set(range(a.ncols)) - {c for _, c in res.pivots}:
+        zeros = [row[col] for i, row in enumerate(res.echelon.rows)
+                 if i not in rows and col in row]
+        if not zeros:
+            return a.field.zero()
+        det = det * min(zeros, key=KElement.cert_prec_pi)
+    odd = sum(r > s for k, r in enumerate(rows) for s in rows[k + 1:]) % 2
+    return -det if odd else det
 
 
 def matrix_inverse(a: PrecMatrix) -> PrecMatrix:
-    """Adjugate over determinant; meant for the small matrices of these modules."""
+    """Gauss-Jordan by row_reduce on [A | 1]: the row that pivots on column c
+    of A carries row c of the inverse."""
     if a.nrows != a.ncols:
         raise ValueError("inverse of a non-square matrix")
     n = a.nrows
-    det = matrix_det(a)
-    out = PrecMatrix(a.field, n, n)
+    aug = PrecMatrix(a.field, n, 2 * n, [dict(r) for r in a.rows])
     for i in range(n):
-        for j in range(n):
-            minor = PrecMatrix(a.field, n - 1, n - 1)
-            for r in range(n):
-                if r == i:
-                    continue
-                for c in range(n):
-                    if c == j:
-                        continue
-                    minor.set_entry(r - (r > i), c - (c > j), a.entry(r, c))
-            cof = matrix_det(minor)
-            if (i + j) % 2:
-                cof = -cof
-            out.set_entry(j, i, cof / det)
+        aug.rows[i][n + i] = a.field.one()
+    res = row_reduce(aug, max_cols=n)
+    if len(res.pivots) < n:
+        raise AmbiguousValuation("matrix is singular at the working precision: "
+                                 f"{n - len(res.pivots)} columns have no pivot")
+    out = PrecMatrix(a.field, n, n)
+    for r, c in res.pivots:
+        out.rows[c] = {j - n: v for j, v in res.echelon.rows[r].items() if j >= n}
     return out
 
 

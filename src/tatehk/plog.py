@@ -3,7 +3,8 @@
 On one-units the logarithm is the usual series. It extends to all units
 by killing the Teichmuller part, and to K^* by choosing the value on the
 uniformizer: the branch attached to q = pi^m * v sets log_q(pi) to
--log(v)/m, which is the unique extension with log_q(q) = 0. Series are
+-log(v)/m, which is the unique extension with log_q(q) = 0. Logarithms
+read their one-unit off unit_decompose, with no inverse in K. Series are
 truncated at a certified cutoff: every dropped term has pi-adic
 valuation at least e * prec, the working precision.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .errors import NotAOneUnit
-from .field import FieldDescriptor, KElement
+from .field import FieldDescriptor, KElement, unit_decompose
 from .padic import PadicScalar
 
 
@@ -58,11 +59,9 @@ def log_one_unit(u: KElement) -> KElement:
 
 def log_unit(u: KElement) -> KElement:
     """Logarithm on V^*: zero on Teichmuller representatives, series on one-units."""
-    from .field import k_teichmuller
     if u.ord_pi_or_none() != 0:
         raise NotAOneUnit("log_unit needs a unit of the integer ring")
-    omega = k_teichmuller(u)
-    return log_one_unit(u / omega)
+    return log_one_unit(unit_decompose(u)[2])
 
 
 class LogBranch:
@@ -87,22 +86,16 @@ class LogBranch:
     def log_pi(self) -> KElement:
         """log_q(pi) = -log(v)/m where q = pi^m * v."""
         if self._log_pi is None:
-            fld = self.field
-            v = self.q * fld.pi_inv() ** self.m
-            lv = log_unit(v)
-            inv_m = PadicScalar.from_int(fld.ctx, 1) / PadicScalar.from_int(fld.ctx, self.m)
+            ctx = self.field.ctx
+            lv = log_one_unit(unit_decompose(self.q)[2])
+            inv_m = PadicScalar.from_int(ctx, 1) / PadicScalar.from_int(ctx, self.m)
             self._log_pi = -lv.scale(inv_m)
         return self._log_pi
 
     def log(self, x: KElement) -> KElement:
         """Branch logarithm of any certified-nonzero x in K^*."""
-        a = x.ord_pi()
-        u = x
-        if a > 0:
-            u = x * self.field.pi_inv() ** a
-        elif a < 0:
-            u = x * self.field.pi() ** (-a)
-        body = log_unit(u)
+        a, _, u = unit_decompose(x)
+        body = log_one_unit(u)
         if a == 0:
             return body
         return body + self.log_pi().scale(PadicScalar.from_int(self.field.ctx, a))

@@ -67,6 +67,15 @@ def test_log_prints_every_certified_digit(capsys):
     assert log.endswith(" + 2*pi^78 + 2*pi^79 + O(pi^80)")
 
 
+def test_log_q_of_pi_keeps_every_digit(capsys):
+    # q = p = pi^4 v, and p is known to pi^84: shifting it by pi^-4 leaves v
+    # and log_q(pi) = -log(v)/4 known to the cap
+    code = main(["log", "--p", "5", "--prec", "20", "--field", "s^4+5*s^3+5",
+                 "--q", "p"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["log_q(pi)"].endswith(" + O(pi^80)")
+
+
 def test_log_reports_branch_constant(capsys):
     code = main(["log", "--p", "5", "--prec", "12", "--q", "p"])
     assert code == 0

@@ -144,6 +144,37 @@ def test_pi_inverse():
     for fld in (F_RAM, F_BASE):
         x = fld.pi() * fld.pi_inv()
         assert (x - fld.one()).is_zero_at(fld.e * 18)
+    # pi^-1 is exact but for its one division by p, and a shift by pi^-k of
+    # an element known to the cap costs exactly k digits
+    for f in ("s^2-5", "s^3-5", "s^4+5*s^3+5"):
+        fld = parse_eisenstein(f, CTX5)
+        cap = fld.e * CTX5.prec
+        assert fld.pi_inv().cert_prec_pi() == cap - 1
+        assert (fld.pi() * fld.pi_inv() - fld.one()).is_zero_at(cap - 1)
+        x = fld.one() + fld.pi()
+        for k in range(8):
+            assert x.shift(-k).cert_prec_pi() == cap - k
+            assert (x.shift(-k) * fld.pi() ** k - x).is_zero_at(cap - k)
+        assert (x / fld.pi() ** 5).cert_prec_pi() == cap - 5
+
+
+def test_division_by_a_foreign_operand_is_not_implemented():
+    for num in (1.5, "a"):
+        for den in (F_RAM.zero(), F_RAM.one()):
+            with pytest.raises(TypeError, match=f"'{type(num).__name__}' and 'KElement'"):
+                num / den
+
+
+def test_valuation_hidden_by_a_low_precision_zero():
+    # c_0 = O(5^2) may hide anything from pi^4 up, so 7*pi (ord 1) is certain
+    # while 25*pi (ord 5) is not
+    low = PadicScalar.zero(CTX5, 2)
+    sure = KElement(F_RAM, (low, PadicScalar.from_int(CTX5, 7)))
+    assert sure.ord_pi() == 1 and sure.inverse().cert_prec_pi() > 0
+    hidden = KElement(F_RAM, (low, PadicScalar.from_int(CTX5, 25)))
+    assert hidden.ord_pi_or_none() is None and not hidden.is_zero_at(5)
+    with pytest.raises(AmbiguousValuation):
+        hidden.inverse()
 
 
 def test_field_inverse_random():
@@ -160,18 +191,23 @@ def test_field_inverse_random():
             assert (x * y - fld.one()).is_zero_at(fld.e * 14)
 
 
+def _exact_reduce(fld, poly):
+    """A polynomial in s (Fractions, lowest degree first) reduced mod f."""
+    poly = list(poly) + [Fraction(0)] * (fld.e - len(poly))
+    for k in range(len(poly) - 1, fld.e - 1, -1):
+        top = poly.pop()  # s^k = -s^(k-e) * (a_0 + ... + a_{e-1} s^(e-1))
+        for i, c in enumerate(fld.coeffs):
+            poly[k - fld.e + i] -= top * c
+    return poly
+
+
 def _exact_times(fld, xs, ys):
-    """Product of two coefficient lists of Fractions in Q[s]/(f), e <= 2."""
-    e = fld.e
-    prod = [Fraction(0)] * (2 * e - 1)
+    """Product of two coefficient lists of Fractions in Q[s]/(f)."""
+    prod = [Fraction(0)] * (len(xs) + len(ys) - 1)
     for i, a in enumerate(xs):
         for j, b in enumerate(ys):
             prod[i + j] += a * b
-    if e == 2:
-        # s^2 = -(a_0 + a_1 s)
-        top = prod.pop()
-        prod = [prod[0] - top * fld.coeffs[0], prod[1] - top * fld.coeffs[1]]
-    return prod
+    return _exact_reduce(fld, prod)
 
 
 def _exact_pi_val(fld, cs):
@@ -365,3 +401,128 @@ def test_pi_digits_of_zero_and_of_negative_valuation():
             with pytest.raises(ValueError, match="negative valuation"):
                 neg.pi_digits(4)
             assert neg.pi_digits(0) == []
+
+
+# -- K arithmetic against exact polynomials mod f ------------------------------
+
+
+def _value(x: KElement) -> list:
+    """The coefficients of x's representative, as Fractions."""
+    return [_scalar_fraction(c) for c in x.coeffs]
+
+
+def _pi_power(fld, k: int) -> list:
+    return _exact_reduce(fld, [Fraction(0)] * k + [Fraction(1)])
+
+
+def _assert_within(fld, got: list, want: list, depth: int):
+    """got = want mod pi^depth, in Q[s]/(f): no stated digit is overstated."""
+    residual = [a - b for a, b in zip(got, want)]
+    if any(residual):
+        assert _exact_pi_val(fld, residual) >= depth
+
+
+@st.composite
+def _exact_elements(draw, fld):
+    """(x, X): an element of mixed per-coefficient precision and the exact
+    value X in Q[s]/(f) that it approximates. Coefficients are rationals of
+    valuation -2..3 known to the cap, exact zeros, or rationals known below
+    the cap only; a zero at the cap is an exact zero, as everywhere in K."""
+    ctx, p = fld.ctx, fld.p
+    cs, xs = [], []
+    for _ in range(fld.e):
+        kind = draw(st.sampled_from(("cap", "zero", "low")))
+        q = (Fraction(draw(st.integers(-10 ** 6, 10 ** 6)),
+                      draw(st.sampled_from((1, 2, 11, 13))))
+             * Fraction(p) ** draw(st.integers(-2, 3)))
+        if kind == "zero":
+            q, c = Fraction(0), PadicScalar.zero(ctx)
+        else:
+            c = PadicScalar.from_rational(ctx, q)
+            if kind == "low":
+                c = c + PadicScalar.zero(ctx, draw(st.integers(-2, ctx.prec - 1)))
+        cs.append(c)
+        xs.append(q)
+    return KElement(fld, tuple(cs)), xs
+
+
+@st.composite
+def _field_elements(draw, n):
+    """(field, (x, X), ...) with n elements of one of the DIGIT_FIELDS."""
+    fld = draw(st.sampled_from(DIGIT_FIELDS))
+    return (fld,) + tuple(draw(_exact_elements(fld)) for _ in range(n))
+
+
+ORACLE = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+
+@ORACLE
+@given(_field_elements(1), st.integers(-6, 6))
+def test_shift_against_exact_oracle(case, k):
+    """x.shift(k) = X pi^k to its stated depth; a step down costs at most one
+    digit and a step up gains exactly one, up to the cap."""
+    fld, (x, xs) = case
+    y = x.shift(k)
+    if k >= 0:
+        _assert_within(fld, _value(y), _exact_times(fld, xs, _pi_power(fld, k)),
+                       y.cert_prec_pi())
+        assert y.cert_prec_pi() == min(x.cert_prec_pi() + k, fld.e * fld.ctx.prec)
+    else:
+        _assert_within(fld, _exact_times(fld, _value(y), _pi_power(fld, -k)), xs,
+                       y.cert_prec_pi() - k)
+        assert y.cert_prec_pi() >= x.cert_prec_pi() + k
+
+
+@ORACLE
+@given(st.sampled_from(DIGIT_FIELDS), st.lists(st.integers(), min_size=4, max_size=4),
+       st.integers(0, 12))
+def test_shift_down_costs_exactly_one_digit_per_step(fld, ns, k):
+    """An element whose coefficients are all known to the cap, c_0 nonzero,
+    loses exactly k digits to pi^-k, and pi^k brings all of them back."""
+    ctx = fld.ctx
+    ns[0] = ns[0] * ctx.p + 1
+    x = KElement(fld, tuple(PadicScalar.from_int(ctx, n, ctx.prec) for n in ns[:fld.e]))
+    cap = fld.e * ctx.prec
+    assert x.shift(-k).cert_prec_pi() == cap - k
+    back = x.shift(-k).shift(k)
+    assert back.cert_prec_pi() == cap and back.same_at(x, cap)
+
+
+@ORACLE
+@given(_field_elements(2))
+def test_product_and_inverse_against_exact_oracle(case):
+    """x * y = X * Y, and x^-1 = 1/X when x's valuation is certain, each to
+    its stated depth."""
+    fld, (x, xs), (y, ys) = case
+    z = x * y
+    _assert_within(fld, _value(z), _exact_times(fld, xs, ys), z.cert_prec_pi())
+    if x.ord_pi_or_none() is None:
+        return
+    a = x.ord_pi()
+    assert a == _exact_pi_val(fld, xs)
+    inv = x.inverse()
+    # X * inv - 1 = X (inv - 1/X), of valuation a + (depth of inv)
+    _assert_within(fld, _exact_times(fld, xs, _value(inv)), _pi_power(fld, 0),
+                   inv.cert_prec_pi() + a)
+
+
+@ORACLE
+@given(_field_elements(1))
+def test_unit_decompose_against_exact_oracle(case):
+    """X = pi^a * omega * u with omega a Teichmuller scalar and u a one-unit,
+    to the depth of u."""
+    fld, (x, xs) = case
+    if x.ord_pi_or_none() is None:
+        return
+    a, omega, u = unit_decompose(x)
+    assert a == _exact_pi_val(fld, xs)
+    t = omega.coeffs[0]
+    assert all(c.is_zero() for c in omega.coeffs[1:])
+    assert (t ** (fld.p - 1) - 1).is_zero() and t.prec >= fld.ctx.prec
+    assert u.residue() == 1 and (u - 1).is_zero_at(1)
+    lhs, rhs = _exact_times(fld, _value(omega), _value(u)), xs
+    if a >= 0:
+        lhs = _exact_times(fld, lhs, _pi_power(fld, a))
+    else:
+        rhs = _exact_times(fld, rhs, _pi_power(fld, -a))
+    _assert_within(fld, lhs, rhs, u.cert_prec_pi() + max(a, 0))

@@ -1,11 +1,15 @@
+import random
+from fractions import Fraction
+
 import pytest
 
-from tatehk.errors import NotNilpotent
-from tatehk.field import FieldDescriptor, parse_eisenstein
+from tatehk.errors import AmbiguousValuation, NotNilpotent
+from tatehk.field import FieldDescriptor, KElement, parse_eisenstein
 from tatehk.linalg import PrecMatrix
-from tatehk.padic import PadicContext
+from tatehk.padic import PadicContext, PadicScalar, vp
 from tatehk.phin import (FilteredPhiNModule, PhiNModule, branch_transition,
-                         exp_unipotent, matrix_det, matrix_same_at, tate_object)
+                         exp_unipotent, matrix_det, matrix_inverse, matrix_same_at,
+                         tate_object)
 from tatehk.plog import LogBranch, log_one_unit
 
 CTX = PadicContext(5, 24)
@@ -26,6 +30,79 @@ def test_matrix_det():
     m3 = PrecMatrix.from_rows(QP, [[2, 1, 3], [0, 4, 1], [1, 1, 1]])
     # cofactor expansion done by hand: 2*(4-1) - 1*(0-1) + 3*(0-4)
     assert matrix_det(m3).same_at(QP.from_int(-5), CAP)
+    # valuation pivoting takes row 1 first; the sign must follow the rows
+    for fld in (QP, RAM):
+        swap = PrecMatrix.from_rows(fld, [[5, 1], [1, 0]])
+        assert matrix_det(swap).same_at(fld.from_int(-1), fld.e * CAP)
+    singular = PrecMatrix.from_rows(QP, [[1, 2], [2, 4]])
+    with pytest.raises(AmbiguousValuation):
+        matrix_det(singular).ord_pi()
+    with pytest.raises(AmbiguousValuation):
+        matrix_inverse(singular)
+    # 4 known to O(5^3) only: the determinant is zero to that depth, not exactly
+    rough = QP.from_int(4) + QP.embed_scalar(PadicScalar.zero(CTX, 3))
+    near = PrecMatrix.from_rows(QP, [[1, 2], [2, rough]])
+    det = matrix_det(near)
+    assert det.ord_pi_or_none() is None and det.cert_prec_pi() == 3
+    with pytest.raises(AmbiguousValuation):
+        matrix_inverse(near)
+
+
+def _fraction_inverse(rows):
+    """Gauss-Jordan over Q with any nonzero pivot; None when singular."""
+    n = len(rows)
+    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)]
+           for i, r in enumerate(rows)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if aug[i][col]), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
+    return [r[n:] for r in aug]
+
+
+def _regular(field, x):
+    """Matrix of multiplication by x = x_0 + x_1 pi over Q (e <= 2)."""
+    if field.e == 1:
+        return [[x[0]]]
+    a0, a1 = field.coeffs
+    return [[x[0], -a0 * x[1]], [x[1], x[0] - a1 * x[1]]]
+
+
+def test_matrix_inverse_against_fraction_oracle():
+    """Every entry of matrix_inverse agrees with the inverse over Q(pi),
+    taken by Gauss-Jordan on the matrix of multiplications over Q, to the
+    depth it states, and that depth is within a few digits of the cap."""
+    rng = random.Random(2024)
+    for fld in (QP, RAM):
+        e, p = fld.e, fld.ctx.p
+        for n in (1, 2, 3, 3, 4):
+            rows = [[[Fraction(rng.randint(-60, 60), rng.choice((1, 2, 3)))
+                      * p ** rng.choice((0, 0, 1, 2)) for _ in range(e)]
+                     for _ in range(n)] for _ in range(n)]
+            big = [[_regular(fld, rows[i // e][j // e])[i % e][j % e]
+                    for j in range(n * e)] for i in range(n * e)]
+            want = _fraction_inverse(big)
+            if want is None:
+                continue
+            mat = PrecMatrix.from_rows(fld, [[KElement(fld, tuple(
+                PadicScalar.from_rational(fld.ctx, c) for c in x)) for x in row]
+                for row in rows])
+            inv = matrix_inverse(mat)
+            for i in range(n):
+                for j in range(n):
+                    got = inv.entry(i, j)
+                    assert got.cert_prec_pi() >= e * (CAP - 4)
+                    res = [Fraction(c.unit) * Fraction(p) ** c.val - want[i * e + k][j * e]
+                           for k, c in enumerate(got.coeffs)]
+                    if any(res):
+                        assert min(e * (vp(c.numerator, p) - vp(c.denominator, p)) + k
+                                   for k, c in enumerate(res) if c) >= got.cert_prec_pi()
 
 
 def test_exp_unipotent():

@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tatehk.errors import NotAOneUnit
-from tatehk.field import FieldDescriptor, k_teichmuller, parse_eisenstein, unit_decompose
+from tatehk.field import FieldDescriptor, KElement, k_teichmuller, parse_eisenstein
 from tatehk.padic import PadicContext, PadicScalar, vp
 from tatehk.plog import LogBranch, branch_from_spec, log_one_unit, log_unit, series_cutoff
 
@@ -134,3 +136,38 @@ def test_series_cutoff_certifies_tail():
         import math
         for m in range(n0, n0 + 200):
             assert m * t - e * math.log(m) / math.log(p) >= e * N
+
+
+LOG_SHAPES = [(p, f.format(p=p, pp=p * p)) for p in (3, 5, 7)
+              for f in ("s-{p}", "s^2-{p}", "s^3+{pp}*s^2-{p}", "s^4+{p}*s^3+{p}")]
+
+
+def _element(fld, ints, shift):
+    x = KElement(fld, tuple(PadicScalar.from_int(fld.ctx, n) for n in ints[:fld.e]))
+    return x.shift(shift)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(st.sampled_from(LOG_SHAPES), st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=8,
+                                             max_size=8),
+       st.integers(-3, 3), st.integers(1, 4))
+def test_branch_log_agrees_with_six_more_digits(shape, ints, k, m):
+    """log_q(x) at prec 10 agrees with the same log at prec 16 to every digit
+    it states, for q = pi^m * unit and x = pi^k * (anything nonzero); and
+    log_q(q) is zero at every digit it states."""
+    p, f = shape
+    ints[4] = ints[4] * p + 1  # q's unit part
+    logs = []
+    for prec in (10, 16):
+        fld = parse_eisenstein(f, PadicContext(p, prec))
+        x, q = _element(fld, ints[:4], k), _element(fld, ints[4:], m)
+        if x.ord_pi_or_none() is None:
+            return
+        br = LogBranch(fld, q)
+        assert br.log(q).ord_pi_or_none() is None
+        logs.append(br.log(x))
+    lo, hi = logs
+    assert hi.cert_prec_pi() >= lo.cert_prec_pi()
+    moved = KElement(hi.field, tuple(PadicScalar(hi.field.ctx, c.val, c.unit, c.prec)
+                                     for c in lo.coeffs))
+    assert (moved - hi).is_zero_at(lo.cert_prec_pi())
