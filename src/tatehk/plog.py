@@ -4,9 +4,25 @@ On one-units the logarithm is the usual series. It extends to all units
 by killing the Teichmuller part, and to K^* by choosing the value on the
 uniformizer: the branch attached to q = pi^m * v sets log_q(pi) to
 -log(v)/m, which is the unique extension with log_q(q) = 0. Logarithms
-read their one-unit off unit_decompose, with no inverse in K. Series are
-truncated at a certified cutoff: every dropped term has pi-adic
-valuation at least e * prec, the working precision.
+read their one-unit off unit_decompose, with no inverse in K.
+
+The series -sum_{n<=n_max} x^n / n, x = 1 - u, is summed on plain
+integers. n_max = series_cutoff certifies the tail: every dropped term has
+pi-adic valuation at least e * prec, the working precision. The
+coefficients of x are lifted once mod p^M, M = ceil(D/e) + G, and x^n is
+an integer polynomial product folded back by the lifted
+FieldDescriptor.reduction_rows. G = floor(log_p n_max) guard digits pay
+for the divisions: with n = p^k * n', the sum S accumulates
+p^(G-k) * n'^-1 * x^n mod p^M, which is p^G * sum x^n / n mod p^M, so
+coefficient i of the log is -p^-G * S_i, read at absolute precision
+ceil((D - i)/e).
+
+The depth D: if x is known to O(pi^c), an error y of valuation >= c moves
+log(1 - x) by log(1 - y/(1 - x)), whose terms have valuation
+>= j*c - e*v_p(j). The least of these is c when (p-1)*c >= e, the
+premise that holds unless e is large against p. Where it fails, D is that
+smaller least value. c, and so D, is at most e * prec. An x that is zero
+at O(pi^c) has log zero at O(pi^D), not at the cap.
 """
 
 from __future__ import annotations
@@ -15,7 +31,7 @@ import math
 
 from .errors import NotAOneUnit
 from .field import FieldDescriptor, KElement, unit_decompose
-from .padic import PadicScalar
+from .padic import PadicScalar, vp
 
 
 def series_cutoff(t: int, e: int, p: int, target_prec: int) -> int:
@@ -36,25 +52,60 @@ def series_cutoff(t: int, e: int, p: int, target_prec: int) -> int:
     return n
 
 
+def log_depth(c: int, e: int, p: int) -> int:
+    """Least j*c - e*v_p(j) over j >= 1: how far an error of pi-adic
+    valuation c >= 1 in x can move log(1 - x).
+
+    Only j = p^k matter, and k -> p^k*c - e*k falls until its step
+    p^k*(p-1)*c - e turns nonnegative; that is k = 0, giving c, when
+    (p-1)*c >= e.
+    """
+    k = 0
+    while p ** k * (p - 1) * c < e:
+        k += 1
+    return p ** k * c - e * k
+
+
 def log_one_unit(u: KElement) -> KElement:
-    """-sum_{n>=1} (1-u)^n / n for u in 1 + m, to the working precision."""
+    """-sum_{n>=1} (1-u)^n / n for u in 1 + m, to the depth D of the module docstring."""
     fld = u.field
-    ctx = fld.ctx
+    ctx, e, p = fld.ctx, fld.e, fld.ctx.p
     x = fld.one() - u
-    v = x.ord_pi_or_none()
-    if v is None:
-        # 1 - u indistinguishable from zero: the series is zero at that depth
-        return fld.zero()
-    if v < 1:
-        raise NotAOneUnit(f"1 - u has valuation {v}, expected >= 1")
-    n_max = series_cutoff(v, fld.e, ctx.p, ctx.prec)
-    total = fld.zero()
-    power = fld.one()
-    for n in range(1, n_max + 1):
-        power = power * x
-        total = total - power.scale(
-            PadicScalar.from_int(ctx, 1) / PadicScalar.from_int(ctx, n))
-    return total
+    v, c = x.ord_pi_or_none(), x.cert_prec_pi()
+    if (c if v is None else v) < 1:
+        raise NotAOneUnit(f"1 - u must have valuation >= 1; it has {v} at O(pi^{c})")
+    depth = log_depth(c, e, p)  # c, hence depth, is at most e * prec
+    total, guard = [0] * e, 0
+    if v is not None:
+        n_max = series_cutoff(v, e, p, ctx.prec)
+        while p ** (guard + 1) <= n_max:
+            guard += 1
+        mod = p ** max(1, -(-depth // e) + guard)
+        rows = [[r.numerator * pow(r.denominator, -1, mod) % mod for r in row]
+                for row in fld.reduction_rows()]
+        xs = [a.lift() % mod for a in x.coeffs]
+        power = [1] + [0] * (e - 1)
+        for n in range(1, n_max + 1):
+            power = _times(power, xs, rows, mod)
+            k = vp(n, p)
+            w = p ** (guard - k) * pow(n // p ** k, -1, mod)
+            total = [t + w * a for t, a in zip(total, power)]
+    return KElement(fld, tuple(PadicScalar._make(ctx, -t, -guard, -(-(depth - i) // e))
+                               for i, t in enumerate(total)))
+
+
+def _times(a: list, b: list, rows: list, mod: int) -> list:
+    """Product of two integer coefficient lists in Z[pi]/(f), mod `mod`."""
+    e = len(a)
+    prod = [0] * (2 * e - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    for k in range(e, 2 * e - 1):
+        for i, r in enumerate(rows[k - e]):
+            prod[i] += prod[k] * r
+    return [c % mod for c in prod[:e]]
 
 
 def log_unit(u: KElement) -> KElement:

@@ -133,3 +133,19 @@ def test_verify_suites_pass():
         assert result["checks"] > 0
     with pytest.raises(ValueError):
         verify_suite("nope")
+
+
+@pytest.mark.parametrize("job", [
+    (3, 14, 3, "s^3 + 9*s^2 - 3", "p*(2+pi)"), (5, 20, 2, "s^2 - 5", "p^2*(1+p)"),
+    (3, 20, 2, None, "p*(1+p*77)"), (5, 20, 2, "s^2 - 5", "pi^3*(1+pi)"),
+    (3, 12, 1, None, "pi"), (5, 20, 4, "s^4 + 5*s^3 + 5", "p^2*(1+p)"),
+])
+def test_reports_at_prec_n_and_n_plus_6_agree(job):
+    """Every digit a report states at prec N is the same digit at prec N + 6;
+    only the echoed precision, the floors and the class residual depths move."""
+    p, prec, r, f, q = job
+    lo, hi = (render_report(compute_tate(JobSpec(p, n, r, f, q=q)))
+              for n in (prec, prec + 6))
+    moved = {d["path"] for d in report_diff(lo, hi)}
+    assert moved <= {"/spec/prec", "/meta/cap_pi", "/meta/floor_pi"} | \
+        {f"/classes/{key}/residual_depth" for key in lo["classes"]}

@@ -12,6 +12,8 @@ from tatehk.field import FieldDescriptor, KElement, k_teichmuller, parse_eisenst
 from tatehk.padic import PadicContext, PadicScalar, vp
 from tatehk.plog import LogBranch, branch_from_spec, log_one_unit, log_unit, series_cutoff
 
+from test_padic import DIGIT_FIELDS, _exact_pi_val, _exact_times, _scalar_fraction
+
 
 def frac_vp(q: Fraction, p: int) -> int:
     assert q != 0
@@ -171,3 +173,131 @@ def test_branch_log_agrees_with_six_more_digits(shape, ints, k, m):
     moved = KElement(hi.field, tuple(PadicScalar(hi.field.ctx, c.val, c.unit, c.prec)
                                      for c in lo.coeffs))
     assert (moved - hi).is_zero_at(lo.cert_prec_pi())
+
+
+# -- the integer series against exact Fractions ------------------------------
+
+LOG_FIELDS = [parse_eisenstein(f, PadicContext(2, 10))
+              for f in ("s^2-2", "s^4+2")] + DIGIT_FIELDS
+
+
+def _padic_series_log(u):
+    """The PadicScalar series that log_one_unit replaced (one K product, one
+    p-adic division and one K subtraction per term), kept as an oracle of
+    the depth it stated; 1 - u must have a certain valuation."""
+    fld, ctx = u.field, u.field.ctx
+    x = fld.one() - u
+    n_max = series_cutoff(x.ord_pi(), fld.e, ctx.p, ctx.prec)
+    total, power = fld.zero(), fld.one()
+    for n in range(1, n_max + 1):
+        power = power * x
+        total = total - power.scale(
+            PadicScalar.from_int(ctx, 1) / PadicScalar.from_int(ctx, n))
+    return total
+
+
+def _least_move(c, e, p):
+    """min over j >= 1 of j*c - e*v_p(j), by brute force over j < 256."""
+    return min(j * c - e * vp(j, p) for j in range(1, 256))
+
+
+def _exact_log(fld, xs):
+    """-sum x^n/n in Q[s]/(f) mod pi^(e*cap + 1), for x of valuation >= 1.
+
+    The sum runs to the first N >= 2e with N - e*bitlen(N) >= e*cap + 1;
+    past it every term has valuation m - e*log_2(m) > e*cap. Each power is
+    kept mod p^W, W = cap + bitlen(N) + 1, which moves x^n/n by valuation
+    >= e*(W - v_p(n)) > e*cap + 1.
+    """
+    e, p, cap = fld.e, fld.p, fld.ctx.prec
+    goal = e * cap + 1
+    n_stop = 2 * e
+    while n_stop - e * n_stop.bit_length() < goal:
+        n_stop += 1
+    mod = p ** (cap + n_stop.bit_length() + 1)
+    total, power = [Fraction(0)] * e, [Fraction(1)] + [Fraction(0)] * (e - 1)
+    for n in range(1, n_stop + 1):
+        power = [Fraction(c.numerator * pow(c.denominator, -1, mod) % mod)
+                 for c in _exact_times(fld, power, xs)]
+        total = [t - c / n for t, c in zip(total, power)]
+    return total
+
+
+@st.composite
+def _one_units(draw):
+    """(u, U): a one-unit whose coefficients mix precisions (zeros below the
+    cap included), and U, a random completion of u as Fractions: each lift
+    moved by a random multiple of p^(its precision)."""
+    # p = 2 drawn about half the time: the premise (p-1)*c >= e fails most there
+    fld = draw(st.sampled_from(LOG_FIELDS[:2]) | st.sampled_from(LOG_FIELDS))
+    ctx, p, cap = fld.ctx, fld.p, fld.ctx.prec
+    xs = []
+    for i in range(fld.e):
+        least = 1 if i == 0 else 0  # x = 1 - u lies in the maximal ideal
+        kind = draw(st.sampled_from(("cap", "low", "cap", "zero", "low zero")))
+        n = p ** draw(st.integers(least, 3)) * draw(st.integers(-p ** cap, p ** cap))
+        low = draw(st.integers(least, least + 1) | st.integers(least, cap - 1))
+        xs.append({"cap": PadicScalar.from_int(ctx, n),
+                   "low": PadicScalar.from_int(ctx, n, low),
+                   "zero": PadicScalar.zero(ctx),
+                   "low zero": PadicScalar.zero(ctx, low)}[kind])
+    u = fld.one() - KElement(fld, tuple(xs))
+    us = [Fraction(c.lift() + p ** c.prec * draw(st.integers(-p ** 3, p ** 3)))
+          for c in u.coeffs]
+    return u, us
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_one_units())
+def test_log_series_against_exact_oracle(case):
+    """Every digit log_one_unit states agrees with the exact series of a
+    completion of its input; the depth is the least j*c - e*v_p(j) for an
+    input known to O(pi^c), which is c when (p-1)*c >= e; and it is never
+    below the depth the PadicScalar series stated."""
+    u, us = case
+    fld = u.field
+    e, p, cap = fld.e, fld.p, fld.ctx.prec
+    got = log_one_unit(u)
+    c = min(e * min(a.prec, cap) + i for i, a in enumerate(u.coeffs))
+    depth = min(_least_move(c, e, p), e * cap)
+    assert got.cert_prec_pi() == depth
+    if (p - 1) * c >= e:
+        assert depth == c
+    exact = _exact_log(fld, [int(i == 0) - a for i, a in enumerate(us)])
+    residual = [_scalar_fraction(a) - b for a, b in zip(got.coeffs, exact)]
+    if any(residual):
+        assert _exact_pi_val(fld, residual) >= depth
+    if (fld.one() - u).ord_pi_or_none() is not None:
+        assert depth >= _padic_series_log(u).cert_prec_pi()
+
+
+def test_log_of_one_known_below_the_cap_is_zero_only_to_that_depth():
+    """1 - u zero to O(pi^c) below the cap: the log is zero to O(pi^c), through
+    log_one_unit, log_unit and a branch log alike, not zero at the cap."""
+    cases = [(QP, (PadicScalar.from_int(CTX, 1, prec=6),), 6),
+             (RAM, (PadicScalar.from_int(CTX, 1, prec=3), PadicScalar.zero(CTX)), 6),
+             (RAM, (PadicScalar.from_int(CTX, 1), PadicScalar.zero(CTX, 2)), 5)]
+    for fld, coeffs, depth in cases:
+        u = KElement(fld, coeffs)
+        for got in (log_one_unit(u), log_unit(u),
+                    branch_from_spec(fld, "p*(1+p)").log(u)):
+            assert got.is_zero() and got.cert_prec_pi() == depth
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(st.sampled_from(LOG_FIELDS), st.lists(st.integers(-10 ** 6, 10 ** 6),
+                                             min_size=12, max_size=12),
+       st.integers(0, 3), st.integers(0, 3), st.integers(1, 3))
+def test_branch_log_is_a_homomorphism(fld, ints, a, b, m):
+    """log_q(xy) = log_q(x) + log_q(y) and log_q(q) = 0, at every digit both
+    sides state, for x, y of valuation a, b and q of valuation m."""
+    p = fld.p
+    for k in (0, 4, 8):  # units with a random nonzero residue
+        ints[k] = ints[k] * p + 1 + ints[k] % (p - 1)
+    x, y, q = _element(fld, ints[:4], a), _element(fld, ints[4:8], b), \
+        _element(fld, ints[8:], m)
+    br = LogBranch(fld, q)
+    lhs, rhs = br.log(x * y), br.log(x) + br.log(y)
+    assert (lhs - rhs).is_zero_at(min(lhs.cert_prec_pi(), rhs.cert_prec_pi()))
+    lq = br.log(q)
+    assert lq.is_zero_at(lq.cert_prec_pi())
