@@ -25,9 +25,15 @@ weight 0 on the dr side. Every key off it is a monomial v^a w^b with
 complex of (a, b) on {dlog v, dlog w}, acyclic over Q, and a two-column
 Cech complex with acyclic columns is acyclic, in any window (the chart d
 keeps (i, j), and the u-cap cuts a subcomplex). On the dr side d(w^j) =
-+-j for j != 0. So h_ranks eliminates the piece alone, once that premise
-is checked at run time for every (part, j, i) of the window, and class
-systems index only the sub-blocks their target and classes touch.
++-j for j != 0. So h_ranks eliminates the piece alone, and class systems
+index only the sub-blocks their target and classes touch.
+
+The premise costs one comparison. On hk it is a lemma: the exponents of
+key (i, j) are (i + max(j, 0), i + max(-j, 0)) on Z and (i, i + j) on W,
+and for i >= 0 both vanish only at (j, i) = (0, 0), so it holds in every
+window. On dr the pivot +-j is certified at the floor while e v_p(j) stays
+below it, so the premise fails exactly when the window reaches
+j = p^ceil(floor/e), i.e. T >= p^ceil(floor/e).
 
 On the hk side every structure constant of D is a small integer, so its
 matrix between two block bases is a fixed stencil: hk_D_rows writes it
@@ -52,7 +58,6 @@ from .field import FieldDescriptor, KElement
 from .kimhain import UForm
 from .linalg import (PrecMatrix, _back_substitute, _echelon_kernel,
                      _solve_echelon, _touching, int_echelon, rank_at)
-from .padic import vp
 
 # certificate floors sit SLACK digits under the working precision
 SLACK = 5
@@ -450,13 +455,14 @@ def _centered_int(coeff: KElement):
     """Exact signed integer value of a scalar known to be an integer."""
     if coeff.field.e != 1:
         return None
-    c = coeff.coeffs[0]
-    if c.is_zero():
-        return 0 if c.prec >= c.ctx.prec else None
-    if c.val < 0 or c.prec < c.ctx.prec:
+    v, u, n = coeff.coeff(0)
+    p, cap = coeff.field.p, coeff.field.cap
+    if not u:
+        return 0 if n >= cap else None
+    if v < 0 or n < cap:
         return None
-    m = c.lift()
-    modulus = c.ctx.p ** c.prec
+    m = u * p ** v
+    modulus = p ** n
     return m - modulus if m > modulus // 2 else m
 
 
@@ -606,33 +612,26 @@ def _block_h_stable(spec: CechSpec, wt: int, degree: int, idx, echelons) -> int:
 
 
 def _check_acyclic_off_piece(spec: CechSpec, floor_pi: int):
-    """Raise AmbiguousPivot unless every (part, j, i) of the window off
-    the piece is acyclic: on hk its exponents (a, b) are not (0, 0); on dr
-    d(w^j) = +-j is a pivot certified at floor_pi, e v_p(j) below it."""
-    e, p = spec.field.e, spec.field.ctx.p
-    levels = range(spec.S + 1) if spec.side == "hk" else (0,)
-    for part in ("Z", "W"):
-        for j in range(-spec.T, spec.T + 1):
-            for i in levels:
-                if (j, i) == (0, 0):
-                    continue
-                if spec.side == "hk":
-                    if _exponents(part, j, i) != (0, 0):
-                        continue
-                elif e * vp(j, p) < floor_pi:
-                    continue
-                raise AmbiguousPivot(
-                    f"{spec.side} block at part {part}, j={j}, i={i} is not "
-                    f"certified acyclic at the floor {floor_pi}")
+    """Raise AmbiguousPivot unless every (part, j, i) of the window off the
+    piece is acyclic; by the lemma of the module docstring that fails only
+    on dr, for T >= p^ceil(floor_pi/e). The error names the first key a
+    scan from part Z, j = -T would meet."""
+    if spec.side == "hk":
+        return
+    step = spec.field.p ** max(0, -(-floor_pi // spec.field.e))
+    if spec.T >= step:
+        raise AmbiguousPivot(
+            f"dr block at part Z, j={-(spec.T // step) * step}, i=0 is not "
+            f"certified acyclic at the floor {floor_pi}")
 
 
 def h_ranks(spec: CechSpec):
     """Cohomology rank estimate of the truncated complex, per degree.
 
     Eliminates only the piece that carries cohomology (module docstring),
-    once every block off it is checked to be acyclic. Its naive ranks are
-    refined to the rank surviving two more u-levels, which removes the
-    u-cap boundary artifacts on the hk side. Returns (ranks, tainted);
+    once the premise that every block off it is acyclic holds. Its naive
+    ranks are refined to the rank surviving two more u-levels, which removes
+    the u-cap boundary artifacts on the hk side. Returns (ranks, tainted);
     tainted reports window overflow inside the piece when it has
     cohomology. dr ranks are certified at the floor SLACK digits under the
     cap."""

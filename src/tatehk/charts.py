@@ -283,7 +283,7 @@ class ChartElement(_SparseForm):
             return pows[k]
 
         for (i, j, slot), c in self.coeffs.items():
-            ck = target.embed_scalar(c.coeffs[0]) * apow(i)
+            ck = target.from_coeff(c.coeff(0)) * apow(i)
             if self.degree == 0:
                 out._accumulate(j, 0, ck)
             elif self.degree == 1:

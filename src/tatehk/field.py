@@ -1,10 +1,25 @@
 """Totally ramified extensions K = Q_p(pi) cut out by an Eisenstein polynomial.
 
-Elements are polynomials in the uniformizer pi of degree < e with
-PadicScalar coefficients, reduced modulo f(pi) = 0. The base field is
-the degenerate case e = 1 with f = s - p, so Q_p needs no special code
-path. Both the pi-adic valuation (integer) and the p-adic valuation
-(rational, ord_pi / e) are exposed.
+Elements are polynomials in the uniformizer pi of degree < e, reduced
+modulo f(pi) = 0. Each coefficient is three plain integers (val, unit,
+prec): p^val * unit known to absolute precision O(p^prec), with unit prime
+to p, or unit 0 and val = prec for a zero known to O(p^prec). This is the
+model of padic.PadicScalar, which stays the public Q_p scalar at the
+boundary (KElement(field, coeffs) and .coeffs) but which no arithmetic here
+builds. The base field is the degenerate case e = 1 with f = s - p, so Q_p
+needs no special code path. Both the pi-adic valuation (integer) and the
+p-adic valuation (rational, ord_pi / e) are exposed.
+
+One integer kernel multiplies. The coefficients are written as integers
+over a common power of p and multiplied as polynomials (_convolve); pi^e,
+..., pi^(2e-2) are folded back by the reduction rows (_fold), lifted once
+per field to integers over one common denominator. Each term is known to
+O(p^min(val_x + prec_y, val_y + prec_x)), the scalar rule, with the rows
+known to relative precision prec. A coefficient that is zero at the cap is
+exact: it adds no term and no bound, and an output coefficient that no term
+reaches is the exact zero, stated at O(p^(2 prec)). The sums themselves are
+exact, so no term is lost however high its valuation. The log series runs
+on the same kernel (int_product).
 
 Digits are read off on plain integers, not by K arithmetic: the
 coefficients are lifted once mod p^M, and each step emits d = c_0 mod p
@@ -18,17 +33,98 @@ included, is KElement.shift: one digit per step, through pi^-1 = (p/pi)/p.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
 from .errors import AmbiguousValuation, DivisionByIndistinguishableZero, NotAOneUnit
-from .padic import PadicContext, PadicScalar, teichmuller, vp
+from .padic import PadicContext, PadicScalar, teichmuller_lift, vp
+
+_EXACT = math.inf  # the bound of a sum that no term has reached
+
+
+def _norm(p: int, m: int, base: int, prec: int, den: int = 1) -> tuple:
+    """(val, unit, prec) of p^base * m / den known to O(p^prec); den is prime to p."""
+    rel = prec - base
+    if rel > 0:
+        mod = p ** rel
+        m = m % mod if den == 1 else m * pow(den, -1, mod) % mod
+        if m:
+            while not m % p:
+                m //= p
+                base += 1
+            return base, m, prec
+    return prec, 0, prec
+
+
+def _at_common_base(p: int, cs) -> tuple:
+    """Integers m_i and a base with c_i = p^base * m_i for each coefficient."""
+    base = None
+    for v, u, _ in cs:
+        if u and (base is None or v < base):
+            base = v
+    if base is None:
+        return [0] * len(cs), 0
+    return [u * p ** (v - base) if u else 0 for v, u, _ in cs], base
+
+
+def _convolve(a: list, b: list) -> list:
+    """Integer polynomial product, lowest degree first."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    return prod
+
+
+def _fold(prod: list, rows: list, den: int = 1) -> list:
+    """den * prod mod f, where den * pi^(e+k) has the integer entries of rows[k]."""
+    e = len(rows) + 1
+    out = prod[:e] if den == 1 else [c * den for c in prod[:e]]
+    for k, row in enumerate(rows):
+        c = prod[e + k]
+        if c:
+            for i, r, _ in row:
+                out[i] += c * r
+    return out
+
+
+def int_product(a: list, b: list, rows: list, mod: int) -> list:
+    """a * b in Z[pi]/(f) mod `mod`, for rows = FieldDescriptor.fold_rows(mod)."""
+    return [c % mod for c in _fold(_convolve(a, b), rows)]
+
+
+def _integer_rows(rows, p: int) -> tuple:
+    """(den, rows'): the nonzero entries r of rows as (i, den * r, v_p(r))."""
+    den = 1
+    for row in rows:
+        for r in row:
+            den = den * r.denominator // math.gcd(den, r.denominator)
+    return den, [[(i, int(r * den), _frac_vp(r, p)) for i, r in enumerate(row) if r]
+                 for row in rows]
+
+
+def _reduction_rows(coeffs: tuple) -> list:
+    """Coefficient rows of pi^e, ..., pi^(2e-2) on the basis pi^0..pi^{e-1}."""
+    e = len(coeffs)
+    cur = [-c for c in coeffs]  # pi^e = -sum a_i pi^i
+    rows = [tuple(cur)]
+    for _ in range(e - 2):
+        # multiply by pi: shift, then reduce the overflow of pi^e
+        top = cur[-1]
+        cur = [Fraction(0)] + cur[:-1]
+        for i in range(e):
+            cur[i] += top * rows[0][i]
+        rows.append(tuple(cur))
+    return rows
 
 
 class FieldDescriptor:
     """K = Q_p[s]/(f) for monic Eisenstein f = s^e + a_{e-1} s^{e-1} + ... + a_0."""
 
-    __slots__ = ("ctx", "coeffs", "e", "p_over_pi", "_pi_pows")
+    __slots__ = ("ctx", "p", "cap", "coeffs", "e", "p_over_pi", "_zeros",
+                 "_den", "_rows", "_up", "_down")
 
     def __init__(self, ctx: PadicContext, coeffs: tuple):
         """coeffs are the non-leading coefficients (a_0, ..., a_{e-1}) as ints or Fractions."""
@@ -42,21 +138,25 @@ class FieldDescriptor:
             if i == 0 and v != 1:
                 raise ValueError(f"constant term must have valuation exactly 1, got {v}")
         self.ctx = ctx
+        self.p = ctx.p
+        self.cap = ctx.prec
         self.coeffs = coeffs
         self.e = len(coeffs)
         # p/pi = -(p/a_0)(pi^{e-1} + sum_{i>=1} a_i pi^{i-1}): p-integral, as v_p(a_0) = 1
         unit = -ctx.p / coeffs[0]
         self.p_over_pi = tuple(unit * c for c in coeffs[1:] + (Fraction(1),))
-        self._pi_pows = None
+        self._zeros = ((self.cap, 0, self.cap),) * self.e
+        # lifted once: the kernel's rows of pi^e..pi^(2e-2), and the scalars
+        # a step of KElement.shift folds by, pi^e = -sum a_i pi^i up and
+        # pi^-1 = (p/pi)/p down, each known to relative precision cap
+        self._den, self._rows = _integer_rows(_reduction_rows(coeffs)[:self.e - 1], ctx.p)
+        self._up = [(i, self._rational(-c)) for i, c in enumerate(coeffs) if c]
+        self._down = [(i, self._rational(c / ctx.p)) for i, c in enumerate(self.p_over_pi) if c]
 
     @classmethod
     def base(cls, ctx: PadicContext) -> "FieldDescriptor":
         """Q_p itself, presented as the degenerate extension by f = s - p."""
         return cls(ctx, (-ctx.p,))
-
-    @property
-    def p(self) -> int:
-        return self.ctx.p
 
     def __eq__(self, other):
         if self is other:
@@ -83,51 +183,90 @@ class FieldDescriptor:
             parts.append(("- " if c < 0 else "+ ") + coeff + sep + term)
         return " ".join(parts)
 
+    def fold_rows(self, mod: int) -> list:
+        """The product rows lifted mod `mod`, for int_product."""
+        if self._den == 1:
+            return self._rows
+        inv = pow(self._den, -1, mod)
+        return [[(i, r * inv % mod, v) for i, r, v in row] for row in self._rows]
+
+    # -- scalars: (val, unit, prec) as PadicScalar builds them ----------------
+
+    def _int(self, n: int) -> tuple:
+        """The integer n, known to relative precision cap."""
+        if not n:
+            return self._zeros[0]
+        v = vp(n, self.p)
+        return v, n // self.p ** v % self.p ** self.cap, self.cap + v
+
+    def _rational(self, q) -> tuple:
+        q = Fraction(q)
+        if q.denominator == 1:
+            return self._int(q.numerator)
+        vn, un, _ = self._int(q.numerator)
+        vd, ud, _ = self._int(q.denominator)
+        mod = self.p ** self.cap
+        return vn - vd, un * pow(ud, -1, mod) % mod, vn - vd + self.cap
+
+    def _scalar(self, c) -> tuple:
+        """A Q_p scalar given as an int, a Fraction or a PadicScalar."""
+        if isinstance(c, int):
+            return self._int(c)
+        if isinstance(c, Fraction):
+            return self._rational(c)
+        if isinstance(c, PadicScalar):
+            return c.val, c.unit, c.prec
+        raise TypeError(f"not a Q_p scalar: {c!r}")
+
+    def _inverse(self, c: tuple) -> tuple:
+        """1/c for a scalar c, 1 being known to the cap."""
+        v, u, n = c
+        if not u:
+            raise DivisionByIndistinguishableZero(f"divisor is zero at O(p^{n})")
+        rel = min(self.cap, n - v)
+        return -v, pow(u, -1, self.p ** rel), rel - v
+
     # -- element constructors --------------------------------------------
 
+    def element(self, cs: tuple) -> "KElement":
+        """The element with coefficient triples cs = ((val, unit, prec), ...)."""
+        x = _new(KElement)
+        x.field = self
+        x._c = cs
+        return x
+
+    def _scaled(self, cs: tuple, c: tuple) -> "KElement":
+        """The element with coefficients cs, each times the scalar c."""
+        return self.element(tuple([_prod(self.p, x, c) for x in cs]))
+
+    def from_ints(self, ms, base: int, precs) -> "KElement":
+        """sum_i p^base * ms[i] * pi^i, coefficient i known to O(p^precs[i])."""
+        return self.element(tuple(_norm(self.p, m, base, n) for m, n in zip(ms, precs)))
+
+    def from_coeff(self, c: tuple) -> "KElement":
+        """The scalar c = (val, unit, prec), as read by KElement.coeff, in K."""
+        return self.element((c,) + self._zeros[1:])
+
     def zero(self) -> "KElement":
-        return KElement(self, tuple(PadicScalar.zero(self.ctx) for _ in range(self.e)))
+        return self.element(self._zeros)
 
     def one(self) -> "KElement":
         return self.from_int(1)
 
     def from_int(self, n: int) -> "KElement":
-        c = [PadicScalar.from_int(self.ctx, n)]
-        c += [PadicScalar.zero(self.ctx) for _ in range(self.e - 1)]
-        return KElement(self, tuple(c))
+        return self.from_coeff(self._int(n))
 
     def from_rational(self, q) -> "KElement":
-        c = [PadicScalar.from_rational(self.ctx, q)]
-        c += [PadicScalar.zero(self.ctx) for _ in range(self.e - 1)]
-        return KElement(self, tuple(c))
+        return self.from_coeff(self._rational(q))
 
     def embed_scalar(self, x: PadicScalar) -> "KElement":
-        c = [x] + [PadicScalar.zero(self.ctx) for _ in range(self.e - 1)]
-        return KElement(self, tuple(c))
+        return self.from_coeff((x.val, x.unit, x.prec))
 
     def pi(self) -> "KElement":
         return self.one().shift(1)
 
     def pi_inv(self) -> "KElement":
         return self.one().shift(-1)
-
-    def reduction_rows(self):
-        """Coefficient rows of pi^e, ..., pi^(2e-2) on the basis pi^0..pi^{e-1}."""
-        if self._pi_pows is None:
-            rows = []
-            # pi^e = -sum a_i pi^i
-            cur = [-Fraction(c) for c in self.coeffs]
-            rows.append(tuple(cur))
-            for _ in range(self.e - 2):
-                # multiply by pi: shift, then reduce the overflow of pi^e
-                top = cur[-1]
-                cur = [Fraction(0)] + cur[:-1]
-                if top:
-                    for i in range(self.e):
-                        cur[i] += top * rows[0][i]
-                rows.append(tuple(cur))
-            self._pi_pows = rows
-        return self._pi_pows
 
 
 def _frac_vp(q: Fraction, p: int):
@@ -136,83 +275,147 @@ def _frac_vp(q: Fraction, p: int):
     return vp(q.numerator, p) - vp(q.denominator, p)
 
 
-class KElement:
-    """Element of K, a tuple of e PadicScalar coefficients on 1, pi, ..., pi^{e-1}."""
+def _sum(p: int, a: tuple, b: tuple) -> tuple:
+    """a + b for scalars (val, unit, prec)."""
+    va, ua, pa = a
+    vb, ub, pb = b
+    if vb < va:
+        va, ua, vb, ub = vb, ub, va, ua
+    return _norm(p, ua + ub * p ** (vb - va) if ub else ua, va, pa if pa < pb else pb)
 
-    __slots__ = ("field", "coeffs")
+
+def _prod(p: int, a: tuple, b: tuple) -> tuple:
+    """a * b for scalars, known to O(p^min(val_a + prec_b, val_b + prec_a))."""
+    va, ua, pa = a
+    vb, ub, pb = b
+    x, y = va + pb, vb + pa
+    prec = x if x < y else y
+    if ua and ub:
+        return va + vb, ua * ub % p ** (prec - va - vb), prec
+    return prec, 0, prec
+
+
+def _neg(p: int, cs: tuple) -> tuple:
+    return tuple([(v, -u % p ** (n - v), n) if u else (v, u, n) for v, u, n in cs])
+
+
+def _product(fld: FieldDescriptor, a: tuple, b: tuple) -> tuple:
+    """Coefficients of a * b in K for e >= 2, by the kernel."""
+    p, cap, e, den = fld.p, fld.cap, fld.e, fld._den
+    xs, base_a = _at_common_base(p, a)
+    ys, base_b = _at_common_base(p, b)
+    base = base_a + base_b
+    prod = _convolve(xs, ys)
+    prec = [_EXACT] * (2 * e - 1)
+    for i, (va, ua, pa) in enumerate(a):
+        if ua or pa < cap:  # a zero at the cap is exact
+            for k, (vb, _, pb) in enumerate(b, i):
+                t, s = va + pb, vb + pa
+                if s < t:
+                    t = s
+                if t < prec[k]:
+                    prec[k] = t
+    for k in range(e, 2 * e - 1):
+        pk = prec[k]
+        if pk == _EXACT:
+            continue
+        vk, uk, _ = _norm(p, prod[k], base, pk)
+        if not uk and pk >= cap:  # zero at the cap: exact, it folds nothing
+            prod[k] = 0
+            continue
+        bound = vk + cap if vk + cap < pk else pk
+        for i, _, vr in fld._rows[k - e]:
+            if vr + bound < prec[i]:
+                prec[i] = vr + bound
+    out = []
+    for m, n in zip(_fold(prod, fld._rows, den), prec):
+        out.append(_norm(p, m, base, n, den) if n != _EXACT else (2 * cap, 0, 2 * cap))
+    return tuple(out)
+
+
+_new = object.__new__
+
+
+class KElement:
+    """Element of K: e coefficients (val, unit, prec) on 1, pi, ..., pi^{e-1}."""
+
+    __slots__ = ("field", "_c")
 
     def __init__(self, field: FieldDescriptor, coeffs: tuple):
+        """coeffs: e PadicScalar coefficients, the public form of an element."""
         if len(coeffs) != field.e:
             raise ValueError("coefficient count must equal the degree")
         self.field = field
-        self.coeffs = coeffs
+        self._c = tuple((c.val, c.unit, c.prec) for c in coeffs)
 
-    def _check(self, other: "KElement"):
-        if self.field != other.field:
-            raise ValueError("elements of different fields")
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as PadicScalar objects."""
+        ctx = self.field.ctx
+        return tuple(PadicScalar(ctx, v, u, n) for v, u, n in self._c)
+
+    def coeff(self, i: int = 0) -> tuple:
+        """Coefficient i as plain integers (val, unit, prec)."""
+        return self._c[i]
+
+    def lifts(self, mod: int) -> list:
+        """Integer representatives of the coefficients mod `mod`."""
+        p = self.field.p
+        out = []
+        for v, u, _ in self._c:
+            if u and v < 0:
+                raise ValueError("negative valuation has no integer lift")
+            out.append(u * p ** v % mod if u else 0)
+        return out
+
+    def _operand(self, other):
+        """other's coefficient triples: a KElement of this field or a Q_p scalar."""
+        if isinstance(other, KElement):
+            if other.field is not self.field and other.field != self.field:
+                raise ValueError("elements of different fields")
+            return other._c
+        if isinstance(other, (int, Fraction, PadicScalar)):
+            fld = self.field
+            return (fld._scalar(other),) + fld._zeros[1:]
+        return NotImplemented
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        b = self._operand(other)
+        if b is NotImplemented:
             return NotImplemented
-        return KElement(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        p = self.field.p
+        return self.field.element(tuple([_sum(p, x, y) for x, y in zip(self._c, b)]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return KElement(self.field, tuple(-a for a in self.coeffs))
+        return self.field.element(_neg(self.field.p, self._c))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        b = self._operand(other)
+        if b is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        p = self.field.p
+        return self.field.element(tuple([_sum(p, x, y) for x, y in zip(self._c, _neg(p, b))]))
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def _coerce(self, other):
-        if isinstance(other, KElement):
-            self._check(other)
-            return other
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        if isinstance(other, Fraction):
-            return self.field.from_rational(other)
-        if isinstance(other, PadicScalar):
-            return self.field.embed_scalar(other)
-        return NotImplemented
-
-    def scale(self, c: PadicScalar) -> "KElement":
-        return KElement(self.field, tuple(a * c for a in self.coeffs))
+    def scale(self, c) -> "KElement":
+        """self times the Q_p scalar c: an int, a Fraction or a PadicScalar."""
+        fld = self.field
+        return fld._scaled(self._c, fld._scalar(c))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        b = self._operand(other)
+        if b is NotImplemented:
             return NotImplemented
-        e = self.field.e
-        if e == 1:
-            return KElement(self.field, (self.coeffs[0] * other.coeffs[0],))
-        ctx = self.field.ctx
-        prod = [PadicScalar.zero(ctx, 2 * ctx.prec) for _ in range(2 * e - 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero() and a.prec >= ctx.prec:
-                continue
-            for j, b in enumerate(other.coeffs):
-                prod[i + j] = prod[i + j] + a * b
-        out = list(prod[:e])
-        rows = self.field.reduction_rows()
-        for k in range(e, 2 * e - 1):
-            c = prod[k]
-            if c.is_zero() and c.prec >= ctx.prec:
-                continue
-            row = rows[k - e]
-            for i in range(e):
-                if row[i]:
-                    out[i] = out[i] + c * PadicScalar.from_rational(ctx, row[i])
-        return KElement(self.field, tuple(out))
+        fld = self.field
+        if fld.e == 1:  # no zero is skipped here: the scalar product
+            return fld.element((_prod(fld.p, self._c[0], b[0]),))
+        return fld.element(_product(fld, self._c, b))
 
     __rmul__ = __mul__
 
@@ -232,16 +435,16 @@ class KElement:
         return out
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        b = self._operand(other)
+        if b is NotImplemented:
             return NotImplemented
-        return self * other.inverse()
+        return self * self.field.element(b).inverse()
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        b = self._operand(other)
+        if b is NotImplemented:
             return NotImplemented
-        return other * self.inverse()
+        return self.field.element(b) * self.inverse()
 
     def shift(self, k: int) -> "KElement":
         """self * pi^k, one exact step per power of pi.
@@ -251,25 +454,34 @@ class KElement:
         A step down costs at most one digit of certified precision (exactly
         one when c_0 is nonzero and every coefficient is known to the cap);
         a step up gains one, up to the cap.
-        A coefficient that is zero at the cap is exact, as in __mul__.
+        A coefficient that is zero at the cap is exact, as in a product: it
+        folds nothing, and a sum starts from no term (None) rather than
+        from a zero of some precision.
         """
-        fld, ctx = self.field, self.field.ctx
-        fold = [c / ctx.p for c in fld.p_over_pi] if k < 0 else [-c for c in fld.coeffs]
-        fold = [(i, PadicScalar.from_rational(ctx, c)) for i, c in enumerate(fold) if c]
-        exact = PadicScalar.zero(ctx, 2 * ctx.prec)  # as in the sums of __mul__
-        cs = [exact if c.is_zero() and c.prec >= ctx.prec else c for c in self.coeffs]
+        fld = self.field
+        p, cap = fld.p, fld.cap
+        row = fld._up if k >= 0 else fld._down
+        cs = [None if not u and n >= cap else (v, u, n) for v, u, n in self._c]
         for _ in range(abs(k)):
-            c, cs = (cs[0], cs[1:] + [exact]) if k < 0 else (cs[-1], [exact] + cs[:-1])
-            if not (c.is_zero() and c.prec >= ctx.prec):
-                for i, w in fold:
-                    cs[i] = cs[i] + c * w
-        return KElement(fld, tuple(cs))
+            if k > 0:
+                c = cs.pop()
+                cs.insert(0, None)
+            else:
+                c = cs.pop(0)
+                cs.append(None)
+            if c is None or not c[1] and c[2] >= cap:
+                continue
+            for i, w in row:
+                t = _prod(p, c, w)
+                cs[i] = t if cs[i] is None else _sum(p, cs[i], t)
+        return fld.element(tuple((2 * cap, 0, 2 * cap) if c is None else c for c in cs))
 
     def inverse(self) -> "KElement":
         a = self.ord_pi()
-        if self.field.e == 1:
+        fld = self.field
+        if fld.e == 1:
             # one p-adic division is already exact; Newton would be the identity
-            return self.field.embed_scalar(1 / self.coeffs[0])
+            return fld.from_coeff(fld._inverse(self._c[0]))
         return self._inverse_newton(a)
 
     def _inverse_newton(self, a: int) -> "KElement":
@@ -277,9 +489,9 @@ class KElement:
         fld = self.field
         u = self.shift(-a)
         # u is now a unit: c_0 is a p-adic unit. Newton: z -> z(2 - uz).
-        z = fld.embed_scalar(1 / u.coeffs[0])
+        z = fld.from_coeff(fld._inverse(u._c[0]))
         two = fld.from_int(2)
-        steps = max(1, (fld.e * fld.ctx.prec).bit_length() + 1)
+        steps = max(1, (fld.e * fld.cap).bit_length() + 1)
         for _ in range(steps):
             z = z * (two - u * z)
         return z.shift(-a)
@@ -297,15 +509,15 @@ class KElement:
     def ord_pi_or_none(self):
         """pi-adic valuation, or None when x is zero at its precision: also
         when a coefficient that is zero below the cap hides the leading one."""
-        e, cap = self.field.e, self.field.ctx.prec
+        e, cap = self.field.e, self.field.cap
         best = hidden = None
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                v = e * c.val + i
-                if best is None or v < best:
-                    best = v
-            elif c.prec < cap and (hidden is None or e * c.prec + i < hidden):
-                hidden = e * c.prec + i
+        for i, (v, u, n) in enumerate(self._c):
+            if u:
+                t = e * v + i
+                if best is None or t < best:
+                    best = t
+            elif n < cap and (hidden is None or e * n + i < hidden):
+                hidden = e * n + i
         return None if hidden is not None and best is not None and hidden < best else best
 
     def ord_p(self) -> Fraction:
@@ -313,16 +525,22 @@ class KElement:
 
     def cert_prec_pi(self) -> int:
         """Certified absolute pi-adic precision: min over coefficients of e*prec + i."""
-        e = self.field.e
-        cap = self.field.ctx.prec
-        return min(e * min(c.prec, cap) + i for i, c in enumerate(self.coeffs))
+        e, cap = self.field.e, self.field.cap
+        return min(e * min(n, cap) + i for i, (_, _, n) in enumerate(self._c))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        for _, u, _ in self._c:
+            if u:
+                return False
+        return True
 
     def is_prunable_zero(self) -> bool:
         """Zero at the full precision cap: a sparse container may drop it."""
-        return self.is_zero() and self.cert_prec_pi() >= self.field.e * self.field.ctx.prec
+        cap = self.field.cap
+        for _, u, n in self._c:
+            if u or n < cap:
+                return False
+        return True
 
     def is_zero_at(self, floor_pi: int) -> bool:
         """Certifiably divisible by pi^floor_pi (zero at that precision or deeper)."""
@@ -336,7 +554,12 @@ class KElement:
 
     def residue(self) -> int:
         """Image in the residue field F_p (= c_0 mod p)."""
-        return self.coeffs[0].residue()
+        v, u, _ = self._c[0]
+        if not u:
+            return 0
+        if v < 0:
+            raise ValueError("negative valuation has no residue")
+        return u % self.field.p if v == 0 else 0
 
     def __repr__(self):
         return f"KElement({self.expansion_str()})"
@@ -361,10 +584,10 @@ class KElement:
         if v is not None and v < 0:
             raise ValueError("negative valuation has no digit expansion")
         fld = self.field
-        p = fld.ctx.p
+        p = fld.p
         mod = p ** (-(-n // fld.e) + 1)
         w = [c.numerator * pow(c.denominator, -1, mod) % mod for c in fld.p_over_pi]
-        c = [x.lift() % mod for x in self.coeffs]
+        c = self.lifts(mod)
         top = fld.e - 1
         digits = []
         for _ in range(n):
@@ -402,10 +625,10 @@ def k_teichmuller(x: KElement) -> KElement:
     if x.ord_pi_or_none() != 0:
         raise NotAOneUnit("Teichmuller lift needs a unit of the integer ring")
     r = x.residue()
-    t = teichmuller(PadicScalar.from_int(x.field.ctx, r)) if r else None
-    if t is None:
+    if not r:
         raise NotAOneUnit("unit has zero residue; element is not a unit")
-    return x.field.embed_scalar(t)
+    fld = x.field
+    return fld.from_coeff((0, teichmuller_lift(r, fld.p, fld.cap), fld.cap))
 
 
 def unit_decompose(x: KElement):
@@ -417,7 +640,8 @@ def unit_decompose(x: KElement):
     a = x.ord_pi()
     y = x.shift(-a)
     omega = k_teichmuller(y)
-    return a, omega, y.scale(1 / omega.coeffs[0])
+    fld = x.field
+    return a, omega, fld._scaled(y._c, fld._inverse(omega._c[0]))
 
 
 # -- parsing ------------------------------------------------------------------

@@ -5,6 +5,11 @@ p^(prec - val), where prec is the absolute precision. There are no
 epsilons: a value is numerically zero exactly when its valuation
 reaches its stated precision, and operations that need more than the
 stated precision raise instead of guessing.
+
+PadicScalar is the public Q_p scalar and the reference the tests check K
+arithmetic against. It is not the coefficient type of K: field.KElement
+holds the same (val, unit, prec) model as plain integers, and builds a
+PadicScalar only at its boundary (KElement(field, coeffs) and .coeffs).
 """
 
 from __future__ import annotations
@@ -245,17 +250,19 @@ class PadicScalar:
         return f"{self.lift()} + O(p^{self.prec})"
 
 
+def teichmuller_lift(a: int, p: int, prec: int) -> int:
+    """Teichmuller representative of a unit a mod p^prec: the fixpoint of t -> t^p."""
+    m = p ** prec
+    t = a % m
+    while True:
+        t2 = pow(t, p, m)
+        if t2 == t:
+            return t
+        t = t2
+
+
 def teichmuller(x: PadicScalar) -> PadicScalar:
     """Multiplicative lift of the residue of a unit, by p-power iteration to the fixpoint."""
     if x.is_zero() or x.val != 0:
         raise NotAOneUnit(f"expected a p-adic unit, got valuation {x.ord_or_none()!r}")
-    ctx = x.ctx
-    prec = x.prec
-    m = ctx.p ** prec
-    t = x.lift() % m
-    while True:
-        t2 = pow(t, ctx.p, m)
-        if t2 == t:
-            break
-        t = t2
-    return PadicScalar._normalize(ctx, t, prec)
+    return PadicScalar._normalize(x.ctx, teichmuller_lift(x.lift(), x.ctx.p, x.prec), x.prec)

@@ -169,7 +169,7 @@ def embed_matrix(mat: PrecMatrix, new_field: FieldDescriptor) -> PrecMatrix:
     out = PrecMatrix(new_field, mat.nrows, mat.ncols)
     for i, row in enumerate(mat.rows):
         for j, v in row.items():
-            out.rows[i][j] = new_field.embed_scalar(v.coeffs[0])
+            out.rows[i][j] = new_field.from_coeff(v.coeff(0))
     return out
 
 

@@ -226,8 +226,8 @@ def render_report(comp: TateComputation) -> dict:
     mod = comp.module
     k0 = tate_object(field, 0)
     km1 = tate_object(field, -1)
-    h0_phi_k = field.embed_scalar(comp.h0_phi.coeffs[0])
-    h2_phi_k = field.embed_scalar(comp.h2_phi.coeffs[0])
+    h0_phi_k = field.from_coeff(comp.h0_phi.coeff(0))
+    h2_phi_k = field.from_coeff(comp.h2_phi.coeff(0))
     h0_ok = (h0_phi_k.same_at(k0.phi.entry(0, 0), floor_k)
              and comp.cocycle_cert["hk.unit"][0])
     h2_ok = (h2_phi_k.same_at(km1.phi.entry(0, 0), floor_k)

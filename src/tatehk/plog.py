@@ -10,9 +10,9 @@ The series -sum_{n<=n_max} x^n / n, x = 1 - u, is summed on plain
 integers. n_max = series_cutoff certifies the tail: every dropped term has
 pi-adic valuation at least e * prec, the working precision. The
 coefficients of x are lifted once mod p^M, M = ceil(D/e) + G, and x^n is
-an integer polynomial product folded back by the lifted
-FieldDescriptor.reduction_rows. G = floor(log_p n_max) guard digits pay
-for the divisions: with n = p^k * n', the sum S accumulates
+field.int_product, the integer kernel of every product in K, with its
+rows lifted mod p^M. G = floor(log_p n_max) guard digits pay for the
+divisions: with n = p^k * n', the sum S accumulates
 p^(G-k) * n'^-1 * x^n mod p^M, which is p^G * sum x^n / n mod p^M, so
 coefficient i of the log is -p^-G * S_i, read at absolute precision
 ceil((D - i)/e).
@@ -28,10 +28,11 @@ at O(pi^c) has log zero at O(pi^D), not at the cap.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .errors import NotAOneUnit
-from .field import FieldDescriptor, KElement, unit_decompose
-from .padic import PadicScalar, vp
+from .field import FieldDescriptor, KElement, int_product, unit_decompose
+from .padic import vp
 
 
 def series_cutoff(t: int, e: int, p: int, target_prec: int) -> int:
@@ -81,31 +82,16 @@ def log_one_unit(u: KElement) -> KElement:
         while p ** (guard + 1) <= n_max:
             guard += 1
         mod = p ** max(1, -(-depth // e) + guard)
-        rows = [[r.numerator * pow(r.denominator, -1, mod) % mod for r in row]
-                for row in fld.reduction_rows()]
-        xs = [a.lift() % mod for a in x.coeffs]
+        rows = fld.fold_rows(mod)
+        xs = x.lifts(mod)
         power = [1] + [0] * (e - 1)
         for n in range(1, n_max + 1):
-            power = _times(power, xs, rows, mod)
+            power = int_product(power, xs, rows, mod)
             k = vp(n, p)
             w = p ** (guard - k) * pow(n // p ** k, -1, mod)
             total = [t + w * a for t, a in zip(total, power)]
-    return KElement(fld, tuple(PadicScalar._make(ctx, -t, -guard, -(-(depth - i) // e))
-                               for i, t in enumerate(total)))
-
-
-def _times(a: list, b: list, rows: list, mod: int) -> list:
-    """Product of two integer coefficient lists in Z[pi]/(f), mod `mod`."""
-    e = len(a)
-    prod = [0] * (2 * e - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    for k in range(e, 2 * e - 1):
-        for i, r in enumerate(rows[k - e]):
-            prod[i] += prod[k] * r
-    return [c % mod for c in prod[:e]]
+    return fld.from_ints([-t for t in total], -guard,
+                         [-(-(depth - i) // e) for i in range(e)])
 
 
 def log_unit(u: KElement) -> KElement:
@@ -137,10 +123,8 @@ class LogBranch:
     def log_pi(self) -> KElement:
         """log_q(pi) = -log(v)/m where q = pi^m * v."""
         if self._log_pi is None:
-            ctx = self.field.ctx
             lv = log_one_unit(unit_decompose(self.q)[2])
-            inv_m = PadicScalar.from_int(ctx, 1) / PadicScalar.from_int(ctx, self.m)
-            self._log_pi = -lv.scale(inv_m)
+            self._log_pi = -lv.scale(Fraction(1, self.m))
         return self._log_pi
 
     def log(self, x: KElement) -> KElement:
@@ -149,7 +133,7 @@ class LogBranch:
         body = log_one_unit(u)
         if a == 0:
             return body
-        return body + self.log_pi().scale(PadicScalar.from_int(self.field.ctx, a))
+        return body + self.log_pi().scale(a)
 
     def __repr__(self):
         return f"LogBranch(q={self.label})"

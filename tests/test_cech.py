@@ -18,7 +18,7 @@ from tatehk.cech import (SLACK, BlockIndex, CechCochain, CechSpec, cech_D,
 from tatehk.errors import (AmbiguousPivot, AmbiguousSolve, ChartMismatch,
                            NotACoboundary, NotInSpan, TaintedWindow)
 from tatehk.field import FieldDescriptor, KElement, parse_eisenstein
-from tatehk.padic import PadicContext, PadicScalar
+from tatehk.padic import PadicContext, PadicScalar, vp
 
 CTX = PadicContext(3, 12)
 QP = FieldDescriptor.base(CTX)
@@ -277,12 +277,67 @@ def test_h_ranks_refuses_a_failed_premise(monkeypatch):
         with pytest.raises(AmbiguousPivot, match="j=-3"):
             h_ranks(spec)
     # an hk key off the piece with exponents (0, 0) would have a zero
-    # chart column: its block is not known to be acyclic
+    # chart column: its block is not known to be acyclic. The scan over the
+    # window refuses it; h_ranks needs no scan, as the real exponents never
+    # vanish off (0, 0) (the lemma in the cech docstring)
     real = cech._exponents
     monkeypatch.setattr(cech, "_exponents", lambda part, j, i: (0, 0)
                         if (part, j, i) == ("W", 0, 1) else real(part, j, i))
+    spec = hk_spec(1, S=3, T=3, U=1)
     with pytest.raises(AmbiguousPivot, match="part W, j=0, i=1"):
-        h_ranks(hk_spec(1, S=3, T=3, U=1))
+        _scan_off_piece(spec, spec.cap() - SLACK)
+
+
+def _scan_off_piece(spec: CechSpec, floor_pi: int):
+    """The premise checked key by key: raise AmbiguousPivot unless every
+    (part, j, i) of the window off the piece is acyclic; on hk its exponents
+    (a, b) are not (0, 0); on dr d(w^j) = +-j is a pivot certified at
+    floor_pi, e v_p(j) below it. cech checked it this way before the lemma."""
+    e, p = spec.field.e, spec.field.ctx.p
+    levels = range(spec.S + 1) if spec.side == "hk" else (0,)
+    for part in ("Z", "W"):
+        for j in range(-spec.T, spec.T + 1):
+            for i in levels:
+                if (j, i) == (0, 0):
+                    continue
+                if spec.side == "hk":
+                    if cech._exponents(part, j, i) != (0, 0):
+                        continue
+                elif e * vp(j, p) < floor_pi:
+                    continue
+                raise AmbiguousPivot(
+                    f"{spec.side} block at part {part}, j={j}, i={i} is not "
+                    f"certified acyclic at the floor {floor_pi}")
+
+
+def _premise_verdict(check, spec, floor_pi):
+    try:
+        check(spec, floor_pi)
+    except AmbiguousPivot as err:
+        return str(err)
+    return None
+
+
+def test_premise_check_matches_the_scan():
+    """The one-comparison premise check raises exactly where the key-by-key
+    scan does, with the same message, over a grid of windows and floors:
+    never on hk, and on dr from T = p^ceil(floor/e) on."""
+    fields = [FieldDescriptor.base(PadicContext(p, 8)) for p in (2, 3, 5)]
+    fields += [parse_eisenstein(f, PadicContext(p, 8))
+               for f, p in (("s^2 - 2", 2), ("s^2 - 3", 3), ("s^3 - 3", 3))]
+    refusals = 0
+    for fld in fields:
+        for T in range(0, 30):
+            specs = [CechSpec(1, "dr", fld, S=T, T=T, U=0, point=fld.pi())]
+            if fld.e == 1 and T < 12:
+                specs += [CechSpec(1, "hk", fld, S=S, T=T, U=1) for S in (0, 1, 5)]
+            for spec in specs:
+                for floor_pi in range(-1, 3 * fld.e + 2):
+                    want = _premise_verdict(_scan_off_piece, spec, floor_pi)
+                    got = _premise_verdict(cech._check_acyclic_off_piece, spec, floor_pi)
+                    assert got == want, (fld, spec.side, T, floor_pi)
+                    refusals += want is not None
+    assert refusals > 100
 
 
 def fraction_rank_kernel(rows, ncols):

@@ -76,6 +76,20 @@ def test_log_q_of_pi_keeps_every_digit(capsys):
     assert json.loads(capsys.readouterr().out)["log_q(pi)"].endswith(" + O(pi^80)")
 
 
+@pytest.mark.parametrize("field", [None, "s^2-5"])
+def test_log_keeps_its_digits_however_deep_the_input(field, capsys):
+    # on the branch q = p, log(p^k (1+p)) = log(1+p) for every k: also where
+    # p^k lies at or beyond twice the precision (k = 39, 41 at prec 20)
+    logs = []
+    for k in (3, 39, 41):
+        argv = ["log", "--p", "5", "--prec", "20", "--q", "p",
+                "--eval", f"5^{k}*(1+p)"]
+        assert main(argv + (["--field", field] if field else [])) == 0
+        logs.append(json.loads(capsys.readouterr().out)["log"])
+    assert logs[0] == logs[1] == logs[2]
+    assert logs[0].endswith("O(pi^20)" if field is None else "O(pi^40)")
+
+
 def test_log_reports_branch_constant(capsys):
     code = main(["log", "--p", "5", "--prec", "12", "--q", "p"])
     assert code == 0
