@@ -15,11 +15,13 @@ over a common power of p and multiplied as polynomials (_convolve); pi^e,
 ..., pi^(2e-2) are folded back by the reduction rows (_fold), lifted once
 per field to integers over one common denominator. Each term is known to
 O(p^min(val_x + prec_y, val_y + prec_x)), the scalar rule, with the rows
-known to relative precision prec. A coefficient that is zero at the cap is
-exact: it adds no term and no bound, and an output coefficient that no term
-reaches is the exact zero, stated at O(p^(2 prec)). The sums themselves are
-exact, so no term is lost however high its valuation. The log series runs
-on the same kernel (int_product).
+known to relative precision prec. A coefficient of the left factor that is
+zero at the cap is exact: it adds no term and no bound (a zero of the right
+factor still bounds its terms, and at e = 1 the product is the scalar one).
+A slot of pi^e.. that is zero at the cap folds nothing, and an output
+coefficient that no term reaches is the exact zero, stated at
+O(p^(2 prec)). The sums themselves are exact, so no term is lost however
+high its valuation. The log series runs on the same kernel (int_product).
 
 Digits are read off on plain integers, not by K arithmetic: the
 coefficients are lifted once mod p^M, and each step emits d = c_0 mod p
