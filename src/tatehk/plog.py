@@ -6,23 +6,35 @@ uniformizer: the branch attached to q = pi^m * v sets log_q(pi) to
 -log(v)/m, which is the unique extension with log_q(q) = 0. Logarithms
 read their one-unit off unit_decompose, with no inverse in K.
 
-The series -sum_{n<=n_max} x^n / n, x = 1 - u, is summed on plain
-integers. n_max = series_cutoff certifies the tail: every dropped term has
-pi-adic valuation at least e * prec, the working precision. The
-coefficients of x are lifted once mod p^M, M = ceil(D/e) + G, and x^n is
-field.int_product, the integer kernel of every product in K, with its
-rows lifted mod p^M. G = floor(log_p n_max) guard digits pay for the
-divisions: with n = p^k * n', the sum S accumulates
-p^(G-k) * n'^-1 * x^n mod p^M, which is p^G * sum x^n / n mod p^M, so
-coefficient i of the log is -p^-G * S_i, read at absolute precision
-ceil((D - i)/e).
+log_one_unit reduces the argument first (Satoh's trick): log u =
+p^-k * log(u^(p^k)), and the series -sum_{n<=n_max} y^n / n of
+y = 1 - u^(p^k) is summed on plain integers. If x = 1 - u has pi-adic
+valuation >= t, then 1 - u^p = -sum_{0<j<p} C(p,j)(-x)^j - (-x)^p has
+valuation >= min(t + e, p*t), since p divides C(p,j) for 0 < j < p; so
+t_k, the bound after k p-th powers, follows t <- min(t + e, p*t) from
+t_0 = ord_pi(x). n_max = series_cutoff(t_k, e, p, prec + k) certifies
+the tail: every dropped term has pi-adic valuation at least e * (prec + k),
+so at least e * prec >= D after the division by p^k. The coefficients of 1 - u are
+lifted once mod p^M, M = ceil(D/e) + G + k, and every product is
+field.int_product, the integer kernel of every product in K, with its rows
+lifted mod p^M. G = floor(log_p n_max) guard digits pay for the divisions:
+with n = p^j * n', Horner's rule acc <- (acc + w_n) * y, n = n_max..1,
+accumulates S = sum w_n y^n, w_n = p^(G-j) * n'^-1, which is
+p^G * sum y^n / n mod p^M; so coefficient i of the log is -p^-(G+k) * S_i,
+read at absolute precision ceil((D - i)/e). The k more digits of M are
+the ones the division by p^k spends. k minimises k * (products per p-th
+power, by square-and-multiply) + n_max; it is 0 where reducing does not
+pay, as at p = 211.
 
-The depth D: if x is known to O(pi^c), an error y of valuation >= c moves
-log(1 - x) by log(1 - y/(1 - x)), whose terms have valuation
+The depth D: if x = 1 - u is known to O(pi^c), an error y of valuation
+>= c moves log(1 - x) by log(1 - y/(1 - x)), whose terms have valuation
 >= j*c - e*v_p(j). The least of these is c when (p-1)*c >= e, the
 premise that holds unless e is large against p. Where it fails, D is that
 smaller least value. c, and so D, is at most e * prec. An x that is zero
-at O(pi^c) has log zero at O(pi^D), not at the cap.
+at O(pi^c) has log zero at O(pi^D), not at the cap. D depends on the
+input only, not on k: both the series of x and the reduced one give
+log(1 - x~) mod pi^D for an integer lift x~ of x, and an element mod
+pi^D has exactly one coefficient form.
 """
 
 from __future__ import annotations
@@ -47,7 +59,8 @@ def series_cutoff(t: int, e: int, p: int, target_prec: int) -> int:
     lp = math.log(p)
     # m*t - e*log_p(m) is increasing for m > e / (t * ln p)
     monotone_from = max(1, math.ceil(e / (t * lp)))
-    n = monotone_from
+    # below goal / t, m*t - e*log_p(m) < m*t < goal
+    n = max(monotone_from, -(-goal // t))
     while n * t - e * math.log(n) / lp < goal:
         n += 1
     return n
@@ -68,7 +81,7 @@ def log_depth(c: int, e: int, p: int) -> int:
 
 
 def log_one_unit(u: KElement) -> KElement:
-    """-sum_{n>=1} (1-u)^n / n for u in 1 + m, to the depth D of the module docstring."""
+    """log u = p^-k * log(u^(p^k)) for u in 1 + m, to the depth D of the module docstring."""
     fld = u.field
     ctx, e, p = fld.ctx, fld.e, fld.ctx.p
     x = fld.one() - u
@@ -76,21 +89,33 @@ def log_one_unit(u: KElement) -> KElement:
     if (c if v is None else v) < 1:
         raise NotAOneUnit(f"1 - u must have valuation >= 1; it has {v} at O(pi^{c})")
     depth = log_depth(c, e, p)  # c, hence depth, is at most e * prec
-    total, guard = [0] * e, 0
+    total, guard, k = [0] * e, 0, 0
     if v is not None:
-        n_max = series_cutoff(v, e, p, ctx.prec)
+        per_power = p.bit_length() + bin(p).count("1") - 2  # square-and-multiply
+        cost = n_max = series_cutoff(v, e, p, ctx.prec)
+        r, t = 1, min(v + e, p * v)
+        while r * per_power < cost:
+            n = series_cutoff(t, e, p, ctx.prec + r)
+            if r * per_power + n < cost:
+                cost, k, n_max = r * per_power + n, r, n
+            r, t = r + 1, min(t + e, p * t)
         while p ** (guard + 1) <= n_max:
             guard += 1
-        mod = p ** max(1, -(-depth // e) + guard)
+        mod = p ** max(1, -(-depth // e) + guard + k)
         rows = fld.fold_rows(mod)
-        xs = x.lifts(mod)
-        power = [1] + [0] * (e - 1)
-        for n in range(1, n_max + 1):
-            power = int_product(power, xs, rows, mod)
-            k = vp(n, p)
-            w = p ** (guard - k) * pow(n // p ** k, -1, mod)
-            total = [t + w * a for t, a in zip(total, power)]
-    return fld.from_ints([-t for t in total], -guard,
+        z = [(int(i == 0) - a) % mod for i, a in enumerate(x.lifts(mod))]  # u
+        for _ in range(k):  # z <- z^p, by square-and-multiply
+            base = z
+            for bit in bin(p)[3:]:
+                z = int_product(z, z, rows, mod)
+                if bit == "1":
+                    z = int_product(z, base, rows, mod)
+        y = [(int(i == 0) - a) % mod for i, a in enumerate(z)]  # 1 - u^(p^k)
+        for n in range(n_max, 0, -1):  # Horner: total <- (total + w_n) * y
+            j = vp(n, p)
+            total[0] += p ** (guard - j) * pow(n // p ** j, -1, mod)
+            total = int_product(total, y, rows, mod)
+    return fld.from_ints([-a for a in total], -guard - k,
                          [-(-(depth - i) // e) for i in range(e)])
 
 

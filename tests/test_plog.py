@@ -1,5 +1,6 @@
 """Logarithm branches against an exact rational series oracle."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tatehk import plog
 from tatehk.errors import NotAOneUnit
 from tatehk.field import FieldDescriptor, KElement, k_teichmuller, parse_eisenstein
 from tatehk.padic import PadicContext, PadicScalar, vp
@@ -135,9 +137,59 @@ def test_series_cutoff_certifies_tail():
     # every index >= cutoff satisfies the valuation bound
     for (t, e, p, N) in [(1, 1, 5, 20), (1, 2, 5, 20), (2, 3, 3, 25), (1, 1, 2, 20)]:
         n0 = series_cutoff(t, e, p, N)
-        import math
         for m in range(n0, n0 + 200):
             assert m * t - e * math.log(m) / math.log(p) >= e * N
+
+
+def _scan_cutoff(t, e, p, target_prec):
+    """series_cutoff as it scanned before: from the monotone point, one step
+    at a time."""
+    lp = math.log(p)
+    n = max(1, math.ceil(e / (t * lp)))
+    while n * t - e * math.log(n) / lp < e * target_prec:
+        n += 1
+    return n
+
+
+def test_series_cutoff_matches_the_full_scan():
+    for t in range(1, 7):
+        for e in range(1, 5):
+            for p in (2, 3, 5, 211):
+                for N in (8, 20, 200):
+                    assert series_cutoff(t, e, p, N) == _scan_cutoff(t, e, p, N), (t, e, p, N)
+
+
+def test_argument_reduction_takes_fewer_products(monkeypatch):
+    """log_one_unit never runs more int_products than the plain series has
+    terms, series_cutoff(v, e, p, prec); it runs fewer on three fields, and
+    as many at p = 211, where reducing does not pay. A count, not a timing."""
+    count = [0]
+    product = plog.int_product
+
+    def counted(*args):
+        count[0] += 1
+        return product(*args)
+
+    def products(u):
+        count[0] = 0
+        log_one_unit(u)
+        plain = series_cutoff((u.field.one() - u).ord_pi(), u.field.e, u.field.p,
+                              u.field.ctx.prec)
+        assert count[0] <= plain, (u, count[0], plain)
+        return count[0], plain
+
+    monkeypatch.setattr(plog, "int_product", counted)
+    for fld in (FieldDescriptor.base(PadicContext(5, 200)),
+                parse_eisenstein("s^2-5", PadicContext(5, 20)),
+                parse_eisenstein("s^4+2", PadicContext(2, 10))):
+        got, plain = products(fld.one() + fld.pi() * 7)
+        assert got < plain, (fld, got, plain)
+    q211 = FieldDescriptor.base(PadicContext(211, 20))
+    got, plain = products(q211.one() + q211.pi() * 7)
+    assert got == plain
+    for fld in LOG_FIELDS:
+        for k in (0, 1, 2):
+            products(fld.one() + fld.pi().shift(k) * 7)
 
 
 LOG_SHAPES = [(p, f.format(p=p, pp=p * p)) for p in (3, 5, 7)
@@ -179,6 +231,9 @@ def test_branch_log_agrees_with_six_more_digits(shape, ints, k, m):
 
 LOG_FIELDS = [parse_eisenstein(f, PadicContext(2, 10))
               for f in ("s^2-2", "s^4+2")] + DIGIT_FIELDS
+# deep enough that log_one_unit reduces by k >= 2 and lifts mod p^(M + k)
+DEEP_FIELDS = [FieldDescriptor.base(PadicContext(5, 60)),
+               parse_eisenstein("s^2-5", PadicContext(5, 40))]
 
 
 def _padic_series_log(u):
@@ -228,8 +283,10 @@ def _one_units(draw):
     """(u, U): a one-unit whose coefficients mix precisions (zeros below the
     cap included), and U, a random completion of u as Fractions: each lift
     moved by a random multiple of p^(its precision)."""
-    # p = 2 drawn about half the time: the premise (p-1)*c >= e fails most there
-    fld = draw(st.sampled_from(LOG_FIELDS[:2]) | st.sampled_from(LOG_FIELDS))
+    # p = 2 drawn about a third of the time: the premise (p-1)*c >= e fails
+    # most there; a deep field another third
+    fld = draw(st.sampled_from(LOG_FIELDS[:2]) | st.sampled_from(DEEP_FIELDS)
+               | st.sampled_from(LOG_FIELDS))
     ctx, p, cap = fld.ctx, fld.p, fld.ctx.prec
     xs = []
     for i in range(fld.e):
@@ -247,7 +304,7 @@ def _one_units(draw):
     return u, us
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(derandomize=True, database=None, deadline=None, max_examples=480)
 @given(_one_units())
 def test_log_series_against_exact_oracle(case):
     """Every digit log_one_unit states agrees with the exact series of a
