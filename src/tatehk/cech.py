@@ -35,23 +35,33 @@ window. On dr the pivot +-j is certified at the floor while e v_p(j) stays
 below it, so the premise fails exactly when the window reaches
 j = p^ceil(floor/e), i.e. T >= p^ceil(floor/e).
 
+Each rule of the chart complex has one definition, read by the chart
+operators and by the stencil below alike: the exponents (a, b) of v^a w^b
+(charts._vw_exponents, imported here as _exponents), the slots per degree
+(charts._CHART_SLOTS) and the slot map of the twist (charts._TWIST_SLOTS).
+Cochains and block coordinates meet in one place: _terms reads a
+cochain's terms as block keys (for BlockIndex.vector and cochain_blocks),
+and BlockIndex.cochain writes coordinates back (basis_cochain included).
+
 On the hk side every structure constant of D is a small integer, so its
 matrix between two block bases is a fixed stencil: hk_D_rows writes it
 straight from the basis keys, for the exact integer echelons (one per
 block: its pivots give the rank, its back-substitution the kernel).
-operator_int_rows, which applies cech_D to every basis cochain, is kept
-as the oracle the stencil is tested against. hk cochains are integer
-cochains, so hk class systems are solved exactly over Q with one echelon
-of [stencil | classes | target], and hk coordinates and witnesses are
-exact rationals, not certificates at a floor. dr class systems are
-eliminated over the scalars and certified at a floor.
+operator_int_rows, which is operator_matrix (cech_D applied to every
+basis cochain) read as integers, is kept as the oracle the stencil is
+tested against. hk cochains are integer cochains, so hk class systems are
+solved exactly over Q with one echelon of [stencil | classes | target],
+and hk coordinates and witnesses are exact rationals, not certificates at
+a floor. dr class systems are eliminated over the scalars and certified
+at a floor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .charts import _CHART_SLOTS, _FIBER_SLOTS, ChartElement, FiberElement
+from .charts import (_CHART_SLOTS, _FIBER_SLOTS, _TWIST_SLOTS, ChartElement,
+                     FiberElement, _vw_exponents as _exponents)
 from .errors import (AmbiguousPivot, AmbiguousSolve, ChartMismatch,
                      NotACoboundary, NotInSpan, TaintedWindow)
 from .field import FieldDescriptor, KElement
@@ -77,6 +87,8 @@ class CechSpec:
             raise ValueError("need at least one chart")
         if side not in ("hk", "dr"):
             raise ValueError("side must be 'hk' or 'dr'")
+        if min(S, T, U) < 0:
+            raise ValueError("windows S, T and U must be at least 0")
         if side == "hk" and field.e != 1:
             raise ValueError("hk side works over the base scalars")
         if side == "dr":
@@ -170,9 +182,6 @@ class CechCochain:
         z = None if self.zpart is None else [fn(el) for el in self.zpart]
         w = None if self.wpart is None else [fn(el) for el in self.wpart]
         return CechCochain(self.spec if spec is None else spec, self.degree, z, w)
-
-    def copy(self):
-        return self.map_parts(lambda el: el)
 
     def _compatible(self, other: "CechCochain"):
         if self.spec != other.spec or self.degree != other.degree:
@@ -326,27 +335,24 @@ def part_weight(part: str, j: int) -> int:
     return -j if part == "Z" else j
 
 
-def _exponents(part: str, j: int, i: int):
-    """Exponents (a, b) of the hk chart monomial with key (i, j) on a
-    `part` chart, written v^a w^b."""
-    if part == "Z":
-        return i + max(j, 0), i + max(-j, 0)
-    return i, i + j
+def _terms(c: CechCochain):
+    """Yield (key, coeff) for every term of the cochain, key = (weight,
+    part, n, i, u, slot) as in BlockIndex; i and u are 0 on the dr side."""
+    hk = c.spec.side == "hk"
+    for part, n, el in c.parts():
+        if hk:
+            for u, chart_el in el.items():
+                for (i, j, slot), coeff in chart_el.items():
+                    yield (part_weight(part, j), part, n, i, u, slot), coeff
+        else:
+            for (j, slot), coeff in el.items():
+                yield (part_weight(part, j), part, n, 0, 0, slot), coeff
 
 
 def cochain_blocks(c: CechCochain) -> set:
     """The (weight, s-exponent) pairs carrying a coefficient of the
     cochain; the s-exponent is 0 on the dr side."""
-    found = set()
-    for part, _, el in c.parts():
-        if c.spec.side == "hk":
-            for _, chart_el in el.items():
-                for (i, j, _) in chart_el.coeffs:
-                    found.add((part_weight(part, j), i))
-        else:
-            for (j, _) in el.coeffs:
-                found.add((part_weight(part, j), 0))
-    return found
+    return {(key[0], key[3]) for key, _ in _terms(c)}
 
 
 class BlockIndex:
@@ -388,38 +394,19 @@ class BlockIndex:
         return len(self.keys)
 
     def basis_cochain(self, key) -> CechCochain:
-        wt, part, n, i, u, slot = key
-        spec = self.spec
-        j = -wt if part == "Z" else wt
-        deg = _ZDEG[self.degree] if part == "Z" else _WDEG[self.degree]
-        c = CechCochain.zero(spec, self.degree)
-        el = spec.monomial_part(part, n, deg, i, j, slot, u, spec.field.one())
-        if part == "Z":
-            c.zpart[n - 1] = el
-        else:
-            c.wpart[n - 1] = el
-        return c
+        return self.cochain({self.pos[key]: self.spec.field.one()})
 
     def vector(self, c: CechCochain) -> dict:
         """Coefficient vector; raises if the cochain leaves the index."""
         if c.degree != self.degree or c.spec != self.spec:
             raise ChartMismatch("cochain does not match the block index")
         vec = {}
-        for part, n, el in c.parts():
-            if self.spec.side == "hk":
-                entries = ((i, j, slot, u, coeff)
-                           for u, chart_el in el.items()
-                           for (i, j, slot), coeff in chart_el.items())
-            else:
-                entries = ((0, j, slot, 0, coeff)
-                           for (j, slot), coeff in el.items())
-            for i, j, slot, u, coeff in entries:
-                key = (part_weight(part, j), part, n, i, u, slot)
-                idx = self.pos.get(key)
-                if idx is None:
-                    raise ChartMismatch(
-                        f"coefficient at {key} falls outside the block index")
-                vec[idx] = coeff
+        for key, coeff in _terms(c):
+            idx = self.pos.get(key)
+            if idx is None:
+                raise ChartMismatch(
+                    f"coefficient at {key} falls outside the block index")
+            vec[idx] = coeff
         return vec
 
     def cochain(self, vec: dict) -> CechCochain:
@@ -469,14 +456,13 @@ def _centered_int(coeff: KElement):
 def operator_int_rows(src: BlockIndex, tgt: BlockIndex, op):
     """Sparse integer rows of an operator with exact integer matrix.
 
-    Returns (rows, tainted) or (None, tainted) when an entry fails the
-    integrality certificate."""
+    operator_matrix read entry by entry with _centered_int. Returns (rows,
+    tainted) or (None, tainted) when an entry fails the integrality
+    certificate."""
+    mat, tainted = operator_matrix(src, tgt, op)
     rows = [{} for _ in range(len(tgt))]
-    tainted = False
-    for col, key in enumerate(src.keys):
-        image = op(src.basis_cochain(key))
-        tainted = tainted or image.overflow
-        for row, coeff in tgt.vector(image).items():
+    for row, entries in enumerate(mat.rows):
+        for col, coeff in entries.items():
             m = _centered_int(coeff)
             if m is None:
                 return None, tainted
@@ -485,19 +471,13 @@ def operator_int_rows(src: BlockIndex, tgt: BlockIndex, op):
     return rows, tainted
 
 
-# slot images (target slot, coefficient) of the twist restriction per form
-# degree: dlog v -> -dlog w, dlog w -> dlog v + 2 dlog w, and +1 on the top
-_TWIST_SLOTS = {0: {0: ((0, 1),)},
-                1: {0: ((1, -1),), 1: ((0, 1), (1, 2))},
-                2: {0: ((0, 1),)}}
-
-
 def hk_D_rows(src: BlockIndex, tgt: BlockIndex):
     """Sparse integer rows of the hk total differential between block bases.
 
     Written straight from the basis keys (wt, part, n, i, u, slot), with
     the rules of charts.py and kimhain.py: the chart d multiplies by the
-    v, w exponents (a, b); the u-tail adds -+(omega ^ dlog s) u^[k-1]; the
+    v, w exponents (a, b) of charts._vw_exponents; the twist maps slots by
+    charts._TWIST_SLOTS; the u-tail adds -+(omega ^ dlog s) u^[k-1]; the
     overlap map shifts indices along nat and twist, entering degree 2 with
     sign -1. Returns (rows, tainted) exactly as operator_int_rows(src, tgt,
     cech_D) does: an entry beyond the S window is dropped and sets tainted."""

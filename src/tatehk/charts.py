@@ -36,6 +36,25 @@ Z, W, XF, WF = "Z", "W", "XF", "WF"
 # degree 3 exists only as the zero space so that d is total
 _CHART_SLOTS = {0: (0,), 1: (0, 1), 2: (0,), 3: ()}
 _FIBER_SLOTS = {0: (0,), 1: (0,), 2: ()}
+# slot images (target slot, coefficient) of the twist restriction per form
+# degree: dlog v -> -dlog w, dlog w -> dlog v + 2 dlog w, and on the top
+# degree det [[0, 1], [-1, 2]] = +1
+_TWIST_SLOTS = {0: {0: ((0, 1),)},
+                1: {0: ((1, -1),), 1: ((0, 1), (1, 2))},
+                2: {0: ((0, 1),)}, 3: {}}
+
+
+def _vw_exponents(kind: str, j: int, i: int):
+    """Exponents (a, b) of the monomial with key (i, j) on a Z or W chart,
+    written v^a w^b."""
+    if kind == Z:
+        return i + max(j, 0), i + max(-j, 0)
+    return i, i + j
+
+
+def _times(c, k: int):
+    """c times the small integer k, with k = +-1 as c and -c."""
+    return c if k == 1 else -c if k == -1 else c * k
 
 
 class _SparseForm:
@@ -169,12 +188,6 @@ class ChartElement(_SparseForm):
             return
         self._add_term((i, j, slot), coeff)
 
-    def _vw_exponents(self, i: int, j: int):
-        """Exponents (a, b) with monomial = v^a w^b."""
-        if self.kind == Z:
-            return i + max(j, 0), i + max(-j, 0)
-        return i, i + j
-
     # -- ring structure ------------------------------------------------------
 
     def mul(self, other: "ChartElement") -> "ChartElement":
@@ -188,8 +201,8 @@ class ChartElement(_SparseForm):
         for (i1, j1, s1), c1 in self.coeffs.items():
             for (i2, j2, s2), c2 in other.coeffs.items():
                 if self.kind == Z:
-                    a1, b1 = self._vw_exponents(i1, j1)
-                    a2, b2 = self._vw_exponents(i2, j2)
+                    a1, b1 = _vw_exponents(Z, j1, i1)
+                    a2, b2 = _vw_exponents(Z, j2, i2)
                     a, b = a1 + a2, b1 + b2
                     i, j = min(a, b), a - b
                 else:
@@ -205,7 +218,7 @@ class ChartElement(_SparseForm):
             return self._blank(degree=3)
         out = self._blank(degree=self.degree + 1)
         for (i, j, slot), c in self.coeffs.items():
-            a, b = self._vw_exponents(i, j)
+            a, b = _vw_exponents(self.kind, j, i)
             if self.degree == 0:
                 if a:
                     out._accumulate(i, j, 0, c * a)
@@ -247,21 +260,11 @@ class ChartElement(_SparseForm):
                 f"chart Z_{self.n} does not glue onto W_{target_n} (r={self.r})")
         out = ChartElement(self.field, self.r, W, target_n, self.degree,
                            self.S, self.T, overflow=self.overflow)
+        images = _TWIST_SLOTS[self.degree]
         for (i, j, slot), c in self.coeffs.items():
             i2 = i + max(-j, 0)
-            j2 = -j
-            if self.degree == 0:
-                out._accumulate(i2, j2, 0, c)
-            elif self.degree == 1:
-                # dlog v -> -dlog w, dlog w -> dlog v + 2 dlog w
-                if slot == 0:
-                    out._accumulate(i2, j2, 1, -c)
-                else:
-                    out._accumulate(i2, j2, 0, c)
-                    out._accumulate(i2, j2, 1, c * 2)
-            else:
-                # dlog v ^ dlog w -> det [[0, 1], [-1, 2]] = +1 times itself
-                out._accumulate(i2, j2, 0, c)
+            for tslot, k in images[slot]:
+                out._accumulate(i2, -j, tslot, _times(c, k))
         return out
 
     def specialize(self, a: KElement, target: FieldDescriptor) -> "FiberElement":
@@ -382,7 +385,7 @@ class FiberElement(_SparseForm):
         for (j, slot), c in self.coeffs.items():
             k = j if self.kind == XF else -j
             if k:
-                out._accumulate(j, 0, c * k)
+                out._accumulate(j, 0, c.scale(k))
         return out
 
     def restrict_nat(self, point: KElement) -> "FiberElement":

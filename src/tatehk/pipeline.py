@@ -22,7 +22,7 @@ from fractions import Fraction
 from .cech import (SLACK, BlockIndex, CechSpec, cech_D, cech_frobenius, cech_N,
                    cech_psi, class_e1, class_e2, express_in_classes, h_ranks,
                    is_cocycle, operator_matrix, top_class, unit_class)
-from .charts import ChartElement
+from .charts import _CHART_SLOTS, ChartElement
 from .field import FieldDescriptor, k_teichmuller, parse_eisenstein
 from .kimhain import UForm
 from .linalg import PrecMatrix, kernel_basis, row_reduce
@@ -96,17 +96,9 @@ class TateComputation:
                  "ranks_hk", "ranks_dr", "ranks_tainted")
 
 
-def _columns_matrix(field, columns) -> PrecMatrix:
-    m = PrecMatrix(field, len(columns[0]), len(columns))
-    for j, col in enumerate(columns):
-        for i, v in enumerate(col):
-            m.set_entry(i, j, v)
-    return m
-
-
 def _operator_in_basis(op, classes, floor_pi) -> PrecMatrix:
     cols = [express_in_classes(op(cls), classes, floor_pi)[0] for cls in classes]
-    return _columns_matrix(classes[0].spec.field, cols)
+    return PrecMatrix.from_rows(classes[0].spec.field, list(zip(*cols)))
 
 
 def fiber_one_form_lines(dr: CechSpec, classes, floor_pi: int):
@@ -135,11 +127,7 @@ def fiber_one_form_lines(dr: CechSpec, classes, floor_pi: int):
         lines.append(coords)
     if not lines:
         return []
-    stacked = PrecMatrix(dr.field, len(lines), len(classes))
-    for i, coords in enumerate(lines):
-        for j, v in enumerate(coords):
-            stacked.set_entry(i, j, v)
-    red = row_reduce(stacked)
+    red = row_reduce(PrecMatrix.from_rows(dr.field, lines))
     red.rank_at(floor_pi)
     return [[red.echelon.entry(i, j) for j in range(len(classes))]
             for i, _ in red.pivots]
@@ -181,7 +169,7 @@ def compute_tate(job: JobSpec) -> TateComputation:
     h1d = [e1d, e2d]
     psi_cols = [express_in_classes(cech_psi(cls, out.lam, out.dr), h1d,
                                    floor_k)[0] for cls in h1h]
-    out.psi = _columns_matrix(field, psi_cols)
+    out.psi = PrecMatrix.from_rows(field, list(zip(*psi_cols)))
     out.psi_inv = matrix_inverse(out.psi)
     out.h0_psi = express_in_classes(cech_psi(unith, out.lam, out.dr),
                                     [unitd], floor_k)[0][0]
@@ -302,7 +290,7 @@ def run_tate_job(job: JobSpec, suites=()) -> dict:
 def _random_uform(rng, field, r, kind, n, degree, S, T, U, span=3,
                   imax=None, jmax=None, umax=None):
     total = UForm.zero(field, r, kind, n, degree, S, T, U)
-    slots = {0: (0,), 1: (0, 1), 2: (0,)}[degree]
+    slots = _CHART_SLOTS[degree]
     imax = S // 2 if imax is None else imax
     jmax = T // 2 if jmax is None else jmax
     umax = U if umax is None else umax

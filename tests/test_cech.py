@@ -407,16 +407,32 @@ def test_block_stable_rank_matches_fraction_oracle():
         assert seen_nonzero
 
 
+def test_spec_refuses_a_negative_window():
+    for S, T, U in ((-1, 4, 3), (4, -1, 3), (4, 4, -1), (-1, -1, 3)):
+        with pytest.raises(ValueError, match="at least 0"):
+            CechSpec(1, "hk", QP, S=S, T=T, U=U)
+        with pytest.raises(ValueError, match="at least 0"):
+            CechSpec(1, "dr", RAM, S=S, T=T, U=U, point=RAM.pi())
+
+
 def test_block_index_roundtrip():
     rng = random.Random(97)
     for spec in (hk_spec(2), dr_spec(2)):
+        one = [spec.field.one().coeff(i) for i in range(spec.field.e)]
         for degree in (0, 1, 2):
             c = random_cochain(rng, spec, degree)
-            weights = {wt for wt, _ in cochain_blocks(c)}
-            idx = BlockIndex(spec, degree, weights)
+            blocks = cochain_blocks(c)
+            idx = BlockIndex(spec, degree, {wt for wt, _ in blocks})
             vec = idx.vector(c)
+            # the blocks are the (weight, i) pairs of the keys the vector uses
+            assert blocks == {(idx.keys[k][0], idx.keys[k][3]) for k in vec}
             back = idx.cochain(vec)
             assert (back - c).is_zero_at(spec.cap())
+            # every basis cochain reads back as its own unit vector
+            for key, k in idx.pos.items():
+                unit = idx.vector(idx.basis_cochain(key))
+                assert list(unit) == [k]
+                assert [unit[k].coeff(i) for i in range(spec.field.e)] == one
     # a cochain outside the indexed weights is rejected
     spec = hk_spec(2)
     idx = BlockIndex(spec, 0, [0])
@@ -476,6 +492,16 @@ def test_integer_and_padic_operator_matrices_agree():
                     exact = QP.from_int(irow[c])
                     assert (exact - v).is_zero_at(CAP)
                     assert exact.cert_prec_pi() == v.cert_prec_pi()
+    # an entry that is not an integer known to the cap refuses the rows:
+    # every entry over a ramified field, and an operator scaling by 1/3;
+    # tainted still reports the overflow of every column (at i = S on hk)
+    third = QP.from_rational(Fraction(1, 3))
+    for spec, op in ((dr_spec(2), cech_D),
+                     (hk_spec(2), lambda c: cech_D(c).scale(third))):
+        src, tgt = BlockIndex(spec, 0, [1]), BlockIndex(spec, 1, [1])
+        mat, tainted = operator_matrix(src, tgt, op)
+        assert any(mat.rows) and tainted == (spec.side == "hk")
+        assert operator_int_rows(src, tgt, op) == (None, tainted)
 
 
 def test_hk_class_solve_matches_fraction_oracle():

@@ -3,6 +3,7 @@ and specialization to the fiber, checked against hand-computed values and
 seeded random consistency loops."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -319,6 +320,14 @@ def test_fiber_differential():
     prod = v.mul(winv, a)
     ((j, slot), c), = prod.items()
     assert (j, slot) == (0, 0) and (c - a).is_zero_at(2 * CAP)
+    # d multiplies by j as a Q_p scalar: on d((1/5 + 3 pi) w^2) coefficient
+    # 1 keeps O(p^CAP), where the product in K by the embedded -2 drops a digit
+    c = RAM.from_rational(Fraction(1, 5)) + 3 * RAM.pi()
+    w2 = FiberElement.monomial(RAM, R, XF, 1, 0, T, -2, 0, c)
+    ((j, slot), dc), = w2.d().items()
+    assert (j, slot) == (-2, 0)
+    assert [dc.coeff(i) for i in (0, 1)] == [c.scale(-2).coeff(i) for i in (0, 1)]
+    assert dc.coeff(1)[2] == CAP
 
 
 def test_chart_mismatch_guards():
