@@ -29,9 +29,8 @@ from .phin import (FilteredPhiNModule, PhiNModule, branch_transition,
 from .pipeline import (JobSpec, TateComputation, compute_tate, parse_expansion,
                        render_report, report_diff, run_tate_job, suite_names,
                        verify_suite)
+from .pipeline import _VERSION as __version__
 from .plog import LogBranch, branch_from_spec, log_one_unit, log_unit, series_cutoff
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousPivot", "AmbiguousSolve", "AmbiguousValuation", "BlockIndex",

@@ -33,12 +33,14 @@ key (i, j) are (i + max(j, 0), i + max(-j, 0)) on Z and (i, i + j) on W,
 and for i >= 0 both vanish only at (j, i) = (0, 0), so it holds in every
 window. On dr the pivot +-j is certified at the floor while e v_p(j) stays
 below it, so the premise fails exactly when the window reaches
-j = p^ceil(floor/e), i.e. T >= p^ceil(floor/e).
+j = p^ceil(floor/e), i.e. T >= dr_window_bound(p, floor, e).
 
 Each rule of the chart complex has one definition, read by the chart
-operators and by the stencil below alike: the exponents (a, b) of v^a w^b
-(charts._vw_exponents, imported here as _exponents), the slots per degree
-(charts._CHART_SLOTS) and the slot map of the twist (charts._TWIST_SLOTS).
+and u-form operators and by the stencil below alike: the exponents (a, b)
+of v^a w^b (charts._vw_exponents, imported here as _exponents), the slots
+per degree (charts._CHART_SLOTS), the chart d of one monomial
+(charts._chart_d), the slot map of the twist (charts._TWIST_SLOTS) and
+the u-tail of d (kimhain.U_TAIL).
 Cochains and block coordinates meet in one place: _terms reads a
 cochain's terms as block keys (for BlockIndex.vector and cochain_blocks),
 and BlockIndex.cochain writes coordinates back (basis_cochain included).
@@ -61,11 +63,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .charts import (_CHART_SLOTS, _FIBER_SLOTS, _TWIST_SLOTS, ChartElement,
-                     FiberElement, _vw_exponents as _exponents)
+                     FiberElement, _chart_d, _vw_exponents as _exponents)
 from .errors import (AmbiguousPivot, AmbiguousSolve, ChartMismatch,
                      NotACoboundary, NotInSpan, TaintedWindow)
 from .field import FieldDescriptor, KElement
-from .kimhain import UForm
+from .kimhain import U_TAIL, UForm
 from .linalg import (PrecMatrix, _back_substitute, _echelon_kernel,
                      _solve_echelon, _touching, int_echelon, rank_at)
 
@@ -119,11 +121,10 @@ class CechSpec:
     # -- element factories -------------------------------------------------
 
     def zero_part(self, part: str, n: int, degree: int):
-        kind = {"Z": "Z", "W": "W"}[part] if self.side == "hk" else \
-            {"Z": "XF", "W": "WF"}[part]
         if self.side == "hk":
-            return UForm.zero(self.field, self.r, kind, n, degree,
+            return UForm.zero(self.field, self.r, part, n, degree,
                               self.S, self.T, self.U)
+        kind = "XF" if part == "Z" else "WF"
         return FiberElement.zero(self.field, self.r, kind, n, degree, self.T)
 
     def monomial_part(self, part: str, n: int, degree: int, i: int, j: int,
@@ -475,12 +476,13 @@ def hk_D_rows(src: BlockIndex, tgt: BlockIndex):
     """Sparse integer rows of the hk total differential between block bases.
 
     Written straight from the basis keys (wt, part, n, i, u, slot), with
-    the rules of charts.py and kimhain.py: the chart d multiplies by the
-    v, w exponents (a, b) of charts._vw_exponents; the twist maps slots by
-    charts._TWIST_SLOTS; the u-tail adds -+(omega ^ dlog s) u^[k-1]; the
-    overlap map shifts indices along nat and twist, entering degree 2 with
-    sign -1. Returns (rows, tainted) exactly as operator_int_rows(src, tgt,
-    cech_D) does: an entry beyond the S window is dropped and sets tainted."""
+    the rules of charts.py and kimhain.py: the chart d is charts._chart_d
+    of the v, w exponents (a, b) of charts._vw_exponents; the twist maps
+    slots by charts._TWIST_SLOTS; the u-tail is kimhain.U_TAIL at u-order
+    u - 1; the overlap map shifts indices along nat and twist, entering
+    degree 2 with sign -1. Returns (rows, tainted) exactly as
+    operator_int_rows(src, tgt, cech_D) does: an entry beyond the S window
+    is dropped and sets tainted."""
     spec = src.spec
     if spec.side != "hk" or tgt.spec != spec or tgt.degree != src.degree + 1:
         raise ChartMismatch("hk differential needs consecutive hk block indices")
@@ -494,14 +496,11 @@ def hk_D_rows(src: BlockIndex, tgt: BlockIndex):
         a, b = _exponents(part, -wt if part == "Z" else wt, i)
         # (part, n, i, u, slot, coefficient) of the image, all of weight wt
         terms = []
-        if fdeg == 0:
-            terms += [(part, n, i, u, 0, a), (part, n, i, u, 1, b)]
-            if u:
-                terms += [(part, n, i, u - 1, 0, -1), (part, n, i, u - 1, 1, -1)]
-        elif fdeg == 1:
-            terms.append((part, n, i, u, 0, -b if slot == 0 else a))
-            if u:
-                terms.append((part, n, i, u - 1, 0, 1 if slot == 0 else -1))
+        for tslot, c in _chart_d(fdeg, slot, a, b):
+            terms.append((part, n, i, u, tslot, c))
+        if u:
+            for tslot, c in U_TAIL[fdeg][slot]:
+                terms.append((part, n, i, u - 1, tslot, c))
         if part == "Z":
             # nat sends v^a w^b to s^a w^-j, twist to s^b w^-j
             if a > S:
@@ -591,14 +590,20 @@ def _block_h_stable(spec: CechSpec, wt: int, degree: int, idx, echelons) -> int:
     return sum(1 for c in int_echelon(rows, nb + len(kernel)) if c >= nb)
 
 
+def dr_window_bound(p: int, floor_pi: int, e: int) -> int:
+    """p^ceil(floor_pi/e): the least window T at which a dr block off the
+    piece is not certified acyclic at floor_pi (module docstring)."""
+    return p ** max(0, -(-floor_pi // e))
+
+
 def _check_acyclic_off_piece(spec: CechSpec, floor_pi: int):
     """Raise AmbiguousPivot unless every (part, j, i) of the window off the
     piece is acyclic; by the lemma of the module docstring that fails only
-    on dr, for T >= p^ceil(floor_pi/e). The error names the first key a
-    scan from part Z, j = -T would meet."""
+    on dr, for T >= dr_window_bound. The error names the first key a scan
+    from part Z, j = -T would meet."""
     if spec.side == "hk":
         return
-    step = spec.field.p ** max(0, -(-floor_pi // spec.field.e))
+    step = dr_window_bound(spec.field.p, floor_pi, spec.field.e)
     if spec.T >= step:
         raise AmbiguousPivot(
             f"dr block at part Z, j={-(spec.T // step) * step}, i=0 is not "

@@ -52,6 +52,18 @@ def _vw_exponents(kind: str, j: int, i: int):
     return i, i + j
 
 
+def _chart_d(degree: int, slot: int, a: int, b: int):
+    """(target slot, factor) pairs of the log differential of the monomial
+    v^a w^b in `slot` of a form of `degree`: d(f) = a f dlog v + b f dlog w,
+    d(f dlog v) = -b f vw and d(g dlog w) = a g vw (factors may be 0);
+    nothing from degree 2 up."""
+    if degree == 0:
+        return (0, a), (1, b)
+    if degree == 1:
+        return ((0, -b),) if slot == 0 else ((0, a),)
+    return ()
+
+
 def _times(c, k: int):
     """c times the small integer k, with k = +-1 as c and -c."""
     return c if k == 1 else -c if k == -1 else c * k
@@ -219,17 +231,9 @@ class ChartElement(_SparseForm):
         out = self._blank(degree=self.degree + 1)
         for (i, j, slot), c in self.coeffs.items():
             a, b = _vw_exponents(self.kind, j, i)
-            if self.degree == 0:
-                if a:
-                    out._accumulate(i, j, 0, c * a)
-                if b:
-                    out._accumulate(i, j, 1, c * b)
-            else:
-                # d(f dlog v) = -b f vw, d(g dlog w) = +a g vw
-                if slot == 0 and b:
-                    out._accumulate(i, j, 0, -(c * b))
-                elif slot == 1 and a:
-                    out._accumulate(i, j, 0, c * a)
+            for tslot, k in _chart_d(self.degree, slot, a, b):
+                if k:
+                    out._accumulate(i, j, tslot, c * k)
         return out
 
     def frobenius(self) -> "ChartElement":

@@ -21,9 +21,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .charts import ChartElement, FiberElement, W, Z
+from .charts import ChartElement, FiberElement, W, Z, _times
 from .errors import ChartMismatch
 from .field import FieldDescriptor, KElement
+
+# (target slot, factor) pairs of the u-tail -(-1)^deg (omega ^ dlog s) of
+# d(omega u^[k]) at u-order k - 1, per form degree and slot of omega, with
+# dlog s = dlog v + dlog w; read by UForm.d and the stencil cech.hk_D_rows
+U_TAIL = {0: {0: ((0, -1), (1, -1))},
+          1: {0: ((0, 1),), 1: ((0, -1),)},
+          2: {0: ()}}
 
 
 class UForm:
@@ -107,19 +114,24 @@ class UForm:
             out._accumulate(k, el)
         return out
 
-    def __neg__(self):
-        out = self._blank()
-        out.levels = {k: -el for k, el in self.levels.items()}
+    def _map(self, fn, shift=0, **blank):
+        """A blank form (blank as in _blank) holding fn(k, level) at u-order
+        k - shift for each level k >= shift; the levels below shift are
+        dropped with their overflow flags."""
+        out = self._blank(**blank)
+        for k, el in self.levels.items():
+            if k >= shift:
+                out._accumulate(k - shift, fn(k, el))
         return out
+
+    def __neg__(self):
+        return self._map(lambda k, el: -el)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c) -> "UForm":
-        out = self._blank()
-        for k, el in self.levels.items():
-            out._accumulate(k, el.scale(c))
-        return out
+        return self._map(lambda k, el: el.scale(c))
 
     def is_zero_at(self, floor_pi: int) -> bool:
         return all(el.is_zero_at(floor_pi) for el in self.levels.values())
@@ -142,48 +154,30 @@ class UForm:
 
     def d(self) -> "UForm":
         out = self._blank(degree=self.degree + 1)
-        dlog_s = self._dlog_s()
-        sign = -1 if self.degree % 2 == 0 else 1
         for k, el in self.levels.items():
             out._accumulate(k, el.d())
             if k >= 1:
-                tail = el.mul(dlog_s)
-                out._accumulate(k - 1, tail if sign > 0 else -tail)
+                tail = U_TAIL[self.degree]
+                t = el._blank(degree=self.degree + 1)
+                for (i, j, slot), c in el.coeffs.items():
+                    for tslot, f in tail[slot]:
+                        t._accumulate(i, j, tslot, _times(c, f))
+                out._accumulate(k - 1, t)
         return out
-
-    def _dlog_s(self) -> ChartElement:
-        el = ChartElement.zero(self.field, self.r, self.kind, self.n, 1,
-                               self.S, self.T)
-        one = self.field.one()
-        el._accumulate(0, 0, 0, one)
-        el._accumulate(0, 0, 1, one)
-        return el
 
     def N(self) -> "UForm":
-        out = self._blank()
-        for k, el in self.levels.items():
-            if k >= 1:
-                out._accumulate(k - 1, el)
-        return out
+        return self._map(lambda k, el: el, shift=1)
 
     def frobenius(self) -> "UForm":
         p = self.field.ctx.p
-        out = self._blank()
-        for k, el in self.levels.items():
-            out._accumulate(k, el.frobenius().scale(p ** k))
-        return out
+        return self._map(lambda k, el: el.frobenius().scale(p ** k))
 
     def restrict_nat(self) -> "UForm":
-        out = self._blank(kind=W)
-        for k, el in self.levels.items():
-            out._accumulate(k, el.restrict_nat())
-        return out
+        return self._map(lambda k, el: el.restrict_nat(), kind=W)
 
     def restrict_twist(self, target_n: int) -> "UForm":
-        out = self._blank(kind=W, n=target_n)
-        for k, el in self.levels.items():
-            out._accumulate(k, el.restrict_twist(target_n))
-        return out
+        return self._map(lambda k, el: el.restrict_twist(target_n), kind=W,
+                         n=target_n)
 
     def evaluate(self, lam: KElement, a: KElement,
                  target: FieldDescriptor) -> FiberElement:

@@ -20,8 +20,9 @@ import re
 from fractions import Fraction
 
 from .cech import (SLACK, BlockIndex, CechSpec, cech_D, cech_frobenius, cech_N,
-                   cech_psi, class_e1, class_e2, express_in_classes, h_ranks,
-                   is_cocycle, operator_matrix, top_class, unit_class)
+                   cech_psi, class_e1, class_e2, dr_window_bound,
+                   express_in_classes, h_ranks, is_cocycle, operator_matrix,
+                   top_class, unit_class)
 from .charts import _CHART_SLOTS, ChartElement
 from .field import FieldDescriptor, k_teichmuller, parse_eisenstein
 from .kimhain import UForm
@@ -31,6 +32,7 @@ from .phin import (FilteredPhiNModule, branch_transition, embed_matrix,
                    exp_unipotent, matrix_inverse, matrix_same_at, tate_object)
 from .plog import LogBranch, branch_from_spec
 
+# the package version: tatehk.__version__, and meta.version of every report
 _VERSION = "0.1.0"
 
 
@@ -67,12 +69,12 @@ class JobSpec:
         if self.T < p or self.S < p:
             raise ValueError("windows must at least contain the Frobenius image "
                              "of the class monomials")
-        if self.T >= p ** (prec - SLACK):
-            # d(w^j) = +-j is no certified pivot once v_p(j) reaches the floor
+        # the bound at floor_b over Q_p; floor_k = e * floor_b gives the same
+        bound = dr_window_bound(p, prec - SLACK, 1)
+        if self.T >= bound:
             raise ValueError(f"window T = {self.T} must stay below "
-                             f"p^(prec - {SLACK}) = {p ** (prec - SLACK)}, or "
-                             "a de Rham block off weight 0 is not certified "
-                             "acyclic")
+                             f"p^(prec - {SLACK}) = {bound}, or a de Rham "
+                             "block off weight 0 is not certified acyclic")
         self.ctx = ctx
         self.field = parse_eisenstein(eisenstein, ctx) if eisenstein \
             else FieldDescriptor.base(ctx)
@@ -96,8 +98,9 @@ class TateComputation:
                  "ranks_hk", "ranks_dr", "ranks_tainted")
 
 
-def _operator_in_basis(op, classes, floor_pi) -> PrecMatrix:
-    cols = [express_in_classes(op(cls), classes, floor_pi)[0] for cls in classes]
+def _in_basis(op, sources, classes, floor_pi) -> PrecMatrix:
+    """Column k: the coordinates of op(sources[k]) in the classes."""
+    cols = [express_in_classes(op(src), classes, floor_pi)[0] for src in sources]
     return PrecMatrix.from_rows(classes[0].spec.field, list(zip(*cols)))
 
 
@@ -112,12 +115,9 @@ def fiber_one_form_lines(dr: CechSpec, classes, floor_pi: int):
     idx2 = BlockIndex(dr, 2, [0])
     mat, _ = operator_matrix(idx1, idx2, cech_D)
     zcols = [k for k, key in enumerate(idx1.keys) if key[1] == "Z"]
-    sub = PrecMatrix(dr.field, len(idx2), len(zcols))
-    for newc, oldc in enumerate(zcols):
-        for row in range(len(idx2)):
-            v = mat.rows[row].get(oldc)
-            if v is not None:
-                sub.rows[row][newc] = v
+    sub = PrecMatrix(dr.field, len(idx2), len(zcols),
+                     [{new: row[old] for new, old in enumerate(zcols) if old in row}
+                      for row in mat.rows])
     lines = []
     for vec in kernel_basis(sub, floor_pi):
         coch = idx1.cochain({zcols[k]: v for k, v in vec.items()})
@@ -159,22 +159,20 @@ def compute_tate(job: JobSpec) -> TateComputation:
             ok, depth = is_cocycle(cls, floor)
             out.cocycle_cert[f"{side}.{name}"] = (ok, depth)
 
-    h1h = [e1h, e2h]
-    out.phi = _operator_in_basis(cech_frobenius, h1h, floor_b)
-    out.n_pi = _operator_in_basis(cech_N, h1h, floor_b)
-    out.h0_phi = express_in_classes(cech_frobenius(unith), [unith], floor_b)[0][0]
-    out.h2_phi = express_in_classes(cech_frobenius(toph), [toph], floor_b)[0][0]
-    out.h2_n = express_in_classes(cech_N(toph), [toph], floor_b)[0][0]
+    h1h, h1d = [e1h, e2h], [e1d, e2d]
+    out.phi = _in_basis(cech_frobenius, h1h, h1h, floor_b)
+    out.n_pi = _in_basis(cech_N, h1h, h1h, floor_b)
+    out.h0_phi = _in_basis(cech_frobenius, [unith], [unith], floor_b).entry(0, 0)
+    out.h2_phi = _in_basis(cech_frobenius, [toph], [toph], floor_b).entry(0, 0)
+    out.h2_n = _in_basis(cech_N, [toph], [toph], floor_b).entry(0, 0)
 
-    h1d = [e1d, e2d]
-    psi_cols = [express_in_classes(cech_psi(cls, out.lam, out.dr), h1d,
-                                   floor_k)[0] for cls in h1h]
-    out.psi = PrecMatrix.from_rows(field, list(zip(*psi_cols)))
+    def psi(cls):
+        return cech_psi(cls, out.lam, out.dr)
+
+    out.psi = _in_basis(psi, h1h, h1d, floor_k)
     out.psi_inv = matrix_inverse(out.psi)
-    out.h0_psi = express_in_classes(cech_psi(unith, out.lam, out.dr),
-                                    [unitd], floor_k)[0][0]
-    out.h2_psi = express_in_classes(cech_psi(toph, out.lam, out.dr),
-                                    [topd], floor_k)[0][0]
+    out.h0_psi = _in_basis(psi, [unith], [unitd], floor_k).entry(0, 0)
+    out.h2_psi = _in_basis(psi, [toph], [topd], floor_k).entry(0, 0)
 
     out.fil_dr = fiber_one_form_lines(out.dr, h1d, floor_k)
     out.fil_hk = []
@@ -287,19 +285,18 @@ def run_tate_job(job: JobSpec, suites=()) -> dict:
 # -- verification suites -------------------------------------------------------
 
 
-def _random_uform(rng, field, r, kind, n, degree, S, T, U, span=3,
-                  imax=None, jmax=None, umax=None):
+def _random_uform(rng, field, r, kind, n, degree, S, T, U):
+    """Sum of three random monomials: s-exponent up to max(1, S // 4),
+    |j| up to max(1, T // 4) (j >= 0 on W), u-order up to 1."""
     total = UForm.zero(field, r, kind, n, degree, S, T, U)
     slots = _CHART_SLOTS[degree]
-    imax = S // 2 if imax is None else imax
-    jmax = T // 2 if jmax is None else jmax
-    umax = U if umax is None else umax
-    for _ in range(span):
+    imax, jmax = max(1, S // 4), max(1, T // 4)
+    for _ in range(3):
         i = rng.randrange(0, imax + 1)
         j = rng.randrange(-jmax, jmax + 1)
         if kind == "W":
             j = abs(j)
-        u = rng.randrange(0, umax + 1)
+        u = rng.randrange(0, 2)
         slot = rng.choice(slots)
         coeff = field.from_int(rng.randrange(-9, 10))
         el = ChartElement.monomial(field, r, kind, n, degree, S, T, i, j,
@@ -328,11 +325,10 @@ def _suite_kim_hain(p, prec, r, eisenstein, seed, trials):
     for t in range(trials):
         kind = rng.choice(("Z", "W"))
         n = rng.randrange(1, r + 1)
-        draw = dict(imax=max(1, S // 4), jmax=max(1, T // 4), umax=1)
-        x = _random_uform(rng, field, r, kind, n, 0, S, T, U, **draw)
-        y = _random_uform(rng, field, r, kind, n, 0, S, T, U, **draw)
-        z = _random_uform(rng, field, r, kind, n, 0, S, T, U, **draw)
-        w = _random_uform(rng, field, r, kind, n, 1, S, T, U, **draw)
+        x = _random_uform(rng, field, r, kind, n, 0, S, T, U)
+        y = _random_uform(rng, field, r, kind, n, 0, S, T, U)
+        z = _random_uform(rng, field, r, kind, n, 0, S, T, U)
+        w = _random_uform(rng, field, r, kind, n, 1, S, T, U)
         residuals = {
             "d_squared": x.d().d(),
             "w_d_squared": w.d().d(),
@@ -405,6 +401,7 @@ def _suite_branch_calculus(p, prec, r, eisenstein, seed, trials):
 
 
 def _suite_choice_of_pi(p, prec, r, eisenstein, seed, trials):
+    """psi transitions between the branch points q in {pi, p, p(1+p), p^2(1+p)}."""
     specs = ["pi", "p", "p*(1+p)", "p^2*(1+p)"]
     runs = {}
     failures = []
@@ -439,9 +436,9 @@ def _suite_choice_of_pi(p, prec, r, eisenstein, seed, trials):
 
 def _suite_base_change(p, prec, r, eisenstein, seed, trials):
     eis = eisenstein or f"s^2 - {p}"
-    ell = parse_eisenstein(eis, PadicContext(p, prec)).e
-    small = compute_tate(JobSpec(p, prec, 1, None, "pi"))
     bigfield = parse_eisenstein(eis, PadicContext(p, prec))
+    ell = bigfield.e
+    small = compute_tate(JobSpec(p, prec, 1, None, "pi"))
     moved = small.module.base_change(bigfield)
     big = compute_tate(JobSpec(p, prec, ell, eis, "pi"))
     floor = big.job.floor_k

@@ -165,11 +165,8 @@ class LogBranch:
 
 
 def branch_from_spec(field: FieldDescriptor, spec: str) -> LogBranch:
-    """Build a branch from a CLI-style spec: "pi", "p", or an element expression."""
+    """Build a branch from a CLI-style element expression such as "pi", "p"
+    or "p*(1+p)", labelled by its text."""
     from .field import parse_element
     text = spec.strip()
-    if text == "pi":
-        return LogBranch(field, field.pi(), "pi")
-    if text == "p":
-        return LogBranch(field, field.from_int(field.ctx.p), "p")
     return LogBranch(field, parse_element(text, field), text)

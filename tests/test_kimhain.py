@@ -67,6 +67,14 @@ def test_kh_d_on_u():
     assert all((v + 1).is_zero() or (v + QP.one().coeffs[0]).is_zero() for v in vals.values())
     # d(f u^[0]) has no u-tail
     assert list(umono(0, i=1, j=1, c=3).d().levels) == [0]
+    # one-forms: the tail of d(dlog v u^[1]) is +dlog v ^ dlog w, that of
+    # d(dlog w u^[1]) is -dlog v ^ dlog w (the chart d of v^0 w^0 is zero)
+    for slot, sign in ((0, 1), (1, -1)):
+        dw = umono(1, degree=1, slot=slot).d()
+        assert list(dw.levels) == [0]
+        tail = dw.level(0)
+        assert tail.degree == 2 and set(tail.coeffs) == {(0, 0, 0)}
+        assert (tail.coeffs[(0, 0, 0)] - QP.from_int(sign)).is_zero()
 
 
 def test_kh_d_squared_is_zero():

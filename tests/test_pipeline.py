@@ -1,7 +1,10 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import tatehk
 from tatehk.field import FieldDescriptor
 from tatehk.padic import PadicContext
 from tatehk.pipeline import (JobSpec, compute_tate, parse_expansion,
@@ -88,6 +91,14 @@ def test_report_shape_and_determinism():
     assert rep1["identifications"]["weakly_admissible"] is True
     for key, entry in rep1["classes"].items():
         assert entry["cocycle_ok"], key
+
+
+def test_version_is_stated_once():
+    # a regex, not tomllib: Python 3.10, which pyproject allows, lacks it
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    version = re.search(r'^version = "([^"]+)"$', text, re.M).group(1)
+    assert tatehk.__version__ == version
+    assert render_report(compute_tate(JobSpec(3, 8, 1)))["meta"]["version"] == version
 
 
 def test_parse_expansion():
