@@ -55,7 +55,7 @@ tested against. hk cochains are integer cochains, so hk class systems are
 solved exactly over Q with one echelon of [stencil | classes | target],
 and hk coordinates and witnesses are exact rationals, not certificates at
 a floor. dr class systems are eliminated over the scalars and certified
-at a floor.
+at cert_floor(field) = e * (prec - SLACK).
 """
 
 from __future__ import annotations
@@ -76,6 +76,11 @@ SLACK = 5
 # form degree of the Z-part and W-part of a cochain of each total degree
 _ZDEG = {0: 0, 1: 1, 2: 2, 3: None}
 _WDEG = {0: None, 1: 0, 2: 1, 3: 2}
+
+
+def cert_floor(field: FieldDescriptor) -> int:
+    """The pi-adic floor of every certificate over field: e * (prec - SLACK)."""
+    return field.e * (field.ctx.prec - SLACK)
 
 
 class CechSpec:
@@ -529,7 +534,7 @@ def hk_D_rows(src: BlockIndex, tgt: BlockIndex):
     return rows, tainted
 
 
-def _block_h_direct(spec: CechSpec, wt: int, floor_pi: int, levels=None):
+def _block_h_direct(spec: CechSpec, wt: int, levels=None):
     """Naive per-weight ranks of the truncated complex (one weight block,
     or in weight 0 its sub-block of the given s-exponents).
 
@@ -550,7 +555,7 @@ def _block_h_direct(spec: CechSpec, wt: int, floor_pi: int, levels=None):
             ranks[d] = len(echelons[d])
         else:
             mat, t = operator_matrix(idx[d], idx[d + 1], cech_D)
-            ranks[d] = rank_at(mat, floor_pi)
+            ranks[d] = rank_at(mat, cert_floor(spec.field))
         tainted = tainted or t
     h = {
         0: dims[0] - ranks[0],
@@ -618,11 +623,9 @@ def h_ranks(spec: CechSpec):
     ranks are refined to the rank surviving two more u-levels, which removes
     the u-cap boundary artifacts on the hk side. Returns (ranks, tainted);
     tainted reports window overflow inside the piece when it has
-    cohomology. dr ranks are certified at the floor SLACK digits under the
-    cap."""
-    floor_pi = spec.cap() - SLACK * spec.field.e
-    _check_acyclic_off_piece(spec, floor_pi)
-    h, idx, echelons, tainted = _block_h_direct(spec, 0, floor_pi, [0])
+    cohomology. dr ranks are certified at cert_floor."""
+    _check_acyclic_off_piece(spec, cert_floor(spec.field))
+    h, idx, echelons, tainted = _block_h_direct(spec, 0, [0])
     out = {d: 0 for d in range(4)}
     if not any(h.values()):
         return out, False
@@ -636,10 +639,10 @@ def h_ranks(spec: CechSpec):
 # -- certified class arithmetic ------------------------------------------------
 
 
-def is_cocycle(c: CechCochain, floor_pi: int):
-    """(verdict, certified residual depth) for D(c) = 0."""
+def is_cocycle(c: CechCochain):
+    """(verdict at cert_floor, certified residual depth) for D(c) = 0."""
     image = cech_D(c)
-    return image.is_zero_at(floor_pi), image.residual_prec()
+    return image.is_zero_at(cert_floor(c.spec.field)), image.residual_prec()
 
 
 def _solve_indices(target: CechCochain, classes):
@@ -728,14 +731,13 @@ def _solve_setup(target: CechCochain, classes):
     return src, tgt, full, tainted
 
 
-def _solve(target: CechCochain, classes, floor_pi: int, allow_tainted: bool,
-           what: str):
+def _solve(target: CechCochain, classes, allow_tainted: bool, what: str):
     """(coords, witness) of target = D(witness) + sum_k coords[k] classes[k],
     or None when the target is certified outside the span.
 
     hk cochains are integer cochains: their system is solved exactly over Q
     (_hk_solve) and only the solution is entered into K. The dr system is
-    eliminated over K and certified at floor_pi."""
+    eliminated over K and certified at cert_floor."""
     spec = target.spec
     if spec.side == "hk":
         src, tgt, rows, tainted = _hk_system(target, classes)
@@ -751,14 +753,14 @@ def _solve(target: CechCochain, classes, floor_pi: int, allow_tainted: bool,
         coords = [spec.field.from_rational(q) for q in sol[0]]
         wvec = {c: spec.field.from_rational(q) for c, q in sol[1].items()}
     else:
-        x, res = _solve_echelon(full, tgt.vector(target), floor_pi)
+        x, res = _solve_echelon(full, tgt.vector(target), cert_floor(spec.field))
         if x is None:
             return None
         if classes:
             # coordinates are canonical only if every class column earns a
             # pivot after the coboundary columns (independence modulo the
             # image of D)
-            res.rank_at(floor_pi)
+            res.rank_at(cert_floor(spec.field))
             if sum(1 for _, c in res.pivots if c >= nsrc) < len(classes):
                 raise AmbiguousSolve(
                     "classes are dependent modulo coboundaries at this depth")
@@ -768,29 +770,29 @@ def _solve(target: CechCochain, classes, floor_pi: int, allow_tainted: bool,
     return coords, None if src is None else src.cochain(wvec)
 
 
-def express_in_classes(target: CechCochain, classes, floor_pi: int,
+def express_in_classes(target: CechCochain, classes, *,
                        allow_tainted: bool = False):
     """Write target = D(witness) + sum_k coords[k] * classes[k].
 
     Returns (coords, witness). On the hk side coords and witness are exact
-    rationals, so floor_pi is not used; on the dr side they are certified
-    at floor_pi. Raises NotInSpan on a certified obstruction,
+    rationals; on the dr side they are certified at cert_floor of the
+    field. Raises NotInSpan on a certified obstruction,
     AmbiguousSolve if the coordinates are not pinned down (dependent
     classes, or a dr system undecidable at the requested depth),
     TaintedWindow if window overflow undermines the certificate."""
-    sol = _solve(target, classes, floor_pi, allow_tainted, "class")
+    sol = _solve(target, classes, allow_tainted, "class")
     if sol is None:
         raise NotInSpan("target is certified outside the span of the classes "
                         "modulo coboundaries")
     return sol
 
 
-def coboundary_witness(target: CechCochain, floor_pi: int,
+def coboundary_witness(target: CechCochain, *,
                        allow_tainted: bool = False) -> CechCochain:
     """Solve D(witness) = target; raises NotACoboundary when obstructed.
-    The witness is exact on the hk side and certified at floor_pi on the
+    The witness is exact on the hk side and certified at cert_floor on the
     dr side."""
-    sol = _solve(target, [], floor_pi, allow_tainted, "coboundary")
+    sol = _solve(target, [], allow_tainted, "coboundary")
     if sol is None:
         raise NotACoboundary("target is certified not to be a coboundary",
                              obstruction=target)

@@ -664,7 +664,10 @@ def parse_eisenstein(src: str, ctx: PadicContext) -> FieldDescriptor:
         sign, coeff, _, svar, expo = m.groups()
         if coeff is None and svar is None:
             raise ValueError(f"cannot parse polynomial near {text[pos:]!r}")
-        c = Fraction(coeff) if coeff else Fraction(1)
+        try:
+            c = Fraction(coeff) if coeff else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in polynomial near {text[pos:]!r}") from None
         if sign == "-":
             c = -c
         k = 0
@@ -679,6 +682,11 @@ def parse_eisenstein(src: str, ctx: PadicContext) -> FieldDescriptor:
         raise ValueError("polynomial must be monic")
     coeffs = tuple(terms.get(i, Fraction(0)) for i in range(e))
     return FieldDescriptor(ctx, coeffs)
+
+
+# nesting depth parse_element accepts; each level costs it a few stack
+# frames, so this bound keeps it far from the interpreter's recursion limit
+_MAX_NESTING = 100
 
 
 class _Tok:
@@ -700,11 +708,23 @@ class _Tok:
 def parse_element(src: str, field: FieldDescriptor) -> KElement:
     """Parse an element expression over K: integers, p, pi, + - * / ^ and parentheses."""
     tk = _Tok(src)
+    depth = 0
+
+    def nested(rule):
+        # parentheses and unary minus are the only ways the descent recurses
+        nonlocal depth
+        depth += 1
+        if depth > _MAX_NESTING:
+            raise ValueError(f"element expression nests parentheses and unary "
+                             f"minus signs deeper than {_MAX_NESTING}")
+        v = rule()
+        depth -= 1
+        return v
 
     def atom():
         t = tk.next()
         if t == "(":
-            v = expr()
+            v = nested(expr)
             if tk.next() != ")":
                 raise ValueError("unbalanced parentheses")
             return v
@@ -713,7 +733,7 @@ def parse_element(src: str, field: FieldDescriptor) -> KElement:
         if t == "p":
             return field.from_int(field.ctx.p)
         if t == "-":
-            return -atom()
+            return -nested(atom)
         if t is not None and t.isdigit():
             return field.from_int(int(t))
         raise ValueError(f"unexpected token {t!r} in element expression")

@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 
 from .cech import (SLACK, BlockIndex, CechSpec, cech_D, cech_frobenius, cech_N,
-                   cech_psi, class_e1, class_e2, dr_window_bound,
+                   cech_psi, cert_floor, class_e1, class_e2, dr_window_bound,
                    express_in_classes, h_ranks, is_cocycle, operator_matrix,
                    top_class, unit_class)
 from .charts import _CHART_SLOTS, ChartElement
@@ -40,9 +40,9 @@ class JobSpec:
     """Parameters of one run; windows default to S = T = 2p + 2, U = 3.
 
     The p-adic context, the ground field and the log branch are built here,
-    so that bad input fails with ValueError before any work starts. The
-    certificate floors sit SLACK digits under the working precision:
-    floor_b over the base field, floor_k = e * floor_b over K."""
+    so that bad input fails with ValueError before any work starts.
+    floor_b and floor_k are the certificate floors (cech.cert_floor) over
+    the base field and over K."""
 
     __slots__ = ("p", "prec", "r", "eisenstein", "q", "S", "T", "U",
                  "floor_b", "floor_k", "ctx", "field", "branch")
@@ -69,18 +69,17 @@ class JobSpec:
         if self.T < p or self.S < p:
             raise ValueError("windows must at least contain the Frobenius image "
                              "of the class monomials")
-        # the bound at floor_b over Q_p; floor_k = e * floor_b gives the same
-        bound = dr_window_bound(p, prec - SLACK, 1)
+        self.ctx = ctx
+        self.field = parse_eisenstein(eisenstein, ctx) if eisenstein \
+            else FieldDescriptor.base(ctx)
+        self.floor_b = cert_floor(FieldDescriptor.base(ctx))
+        self.floor_k = cert_floor(self.field)
+        bound = dr_window_bound(p, self.floor_k, self.field.e)
         if self.T >= bound:
             raise ValueError(f"window T = {self.T} must stay below "
                              f"p^(prec - {SLACK}) = {bound}, or a de Rham "
                              "block off weight 0 is not certified acyclic")
-        self.ctx = ctx
-        self.field = parse_eisenstein(eisenstein, ctx) if eisenstein \
-            else FieldDescriptor.base(ctx)
         self.branch = branch_from_spec(self.field, q)
-        self.floor_b = prec - SLACK
-        self.floor_k = self.field.e * self.floor_b
 
     def resized(self, S, T, U) -> "JobSpec":
         return JobSpec(self.p, self.prec, self.r, self.eisenstein, self.q,
@@ -98,19 +97,20 @@ class TateComputation:
                  "ranks_hk", "ranks_dr", "ranks_tainted")
 
 
-def _in_basis(op, sources, classes, floor_pi) -> PrecMatrix:
+def _in_basis(op, sources, classes) -> PrecMatrix:
     """Column k: the coordinates of op(sources[k]) in the classes."""
-    cols = [express_in_classes(op(src), classes, floor_pi)[0] for src in sources]
+    cols = [express_in_classes(op(src), classes)[0] for src in sources]
     return PrecMatrix.from_rows(classes[0].spec.field, list(zip(*cols)))
 
 
-def fiber_one_form_lines(dr: CechSpec, classes, floor_pi: int):
+def fiber_one_form_lines(dr: CechSpec, classes):
     """Classes of degree-1 cocycles with no overlap component.
 
     These are the candidates for the one-form line of the fiber: global
     one-forms of the cover glue to a cocycle exactly when the overlap
     component vanishes. Returns independent coordinate vectors in the
-    given class basis."""
+    given class basis, certified at cert_floor."""
+    floor_pi = cert_floor(dr.field)
     idx1 = BlockIndex(dr, 1, [0])
     idx2 = BlockIndex(dr, 2, [0])
     mat, _ = operator_matrix(idx1, idx2, cech_D)
@@ -121,7 +121,7 @@ def fiber_one_form_lines(dr: CechSpec, classes, floor_pi: int):
     lines = []
     for vec in kernel_basis(sub, floor_pi):
         coch = idx1.cochain({zcols[k]: v for k, v in vec.items()})
-        coords, _ = express_in_classes(coch, classes, floor_pi)
+        coords, _ = express_in_classes(coch, classes)
         if all(c.is_zero_at(floor_pi) for c in coords):
             continue
         lines.append(coords)
@@ -144,7 +144,6 @@ def compute_tate(job: JobSpec) -> TateComputation:
     out.dr = CechSpec(job.r, "dr", field, job.S, job.T, 0, point=field.pi())
     out.branch = job.branch
     out.lam = -out.branch.log_pi()
-    floor_b, floor_k = job.floor_b, job.floor_k
 
     e1h, e2h = class_e1(out.hk), class_e2(out.hk)
     unith, toph = unit_class(out.hk), top_class(out.hk)
@@ -154,27 +153,25 @@ def compute_tate(job: JobSpec) -> TateComputation:
     out.dr_classes = {"unit": unitd, "e1": e1d, "e2": e2d, "top": topd}
     out.cocycle_cert = {}
     for side, table in (("hk", out.hk_classes), ("dr", out.dr_classes)):
-        floor = floor_b if side == "hk" else floor_k
         for name, cls in table.items():
-            ok, depth = is_cocycle(cls, floor)
-            out.cocycle_cert[f"{side}.{name}"] = (ok, depth)
+            out.cocycle_cert[f"{side}.{name}"] = is_cocycle(cls)
 
     h1h, h1d = [e1h, e2h], [e1d, e2d]
-    out.phi = _in_basis(cech_frobenius, h1h, h1h, floor_b)
-    out.n_pi = _in_basis(cech_N, h1h, h1h, floor_b)
-    out.h0_phi = _in_basis(cech_frobenius, [unith], [unith], floor_b).entry(0, 0)
-    out.h2_phi = _in_basis(cech_frobenius, [toph], [toph], floor_b).entry(0, 0)
-    out.h2_n = _in_basis(cech_N, [toph], [toph], floor_b).entry(0, 0)
+    out.phi = _in_basis(cech_frobenius, h1h, h1h)
+    out.n_pi = _in_basis(cech_N, h1h, h1h)
+    out.h0_phi = _in_basis(cech_frobenius, [unith], [unith]).entry(0, 0)
+    out.h2_phi = _in_basis(cech_frobenius, [toph], [toph]).entry(0, 0)
+    out.h2_n = _in_basis(cech_N, [toph], [toph]).entry(0, 0)
 
     def psi(cls):
         return cech_psi(cls, out.lam, out.dr)
 
-    out.psi = _in_basis(psi, h1h, h1d, floor_k)
+    out.psi = _in_basis(psi, h1h, h1d)
     out.psi_inv = matrix_inverse(out.psi)
-    out.h0_psi = _in_basis(psi, [unith], [unitd], floor_k).entry(0, 0)
-    out.h2_psi = _in_basis(psi, [toph], [topd], floor_k).entry(0, 0)
+    out.h0_psi = _in_basis(psi, [unith], [unitd]).entry(0, 0)
+    out.h2_psi = _in_basis(psi, [toph], [topd]).entry(0, 0)
 
-    out.fil_dr = fiber_one_form_lines(out.dr, h1d, floor_k)
+    out.fil_dr = fiber_one_form_lines(out.dr, h1d)
     out.fil_hk = []
     for coords in out.fil_dr:
         vec = out.psi_inv.apply_to(dict(enumerate(coords)))
@@ -208,7 +205,7 @@ def _fmt_matrix(m: PrecMatrix):
 def render_report(comp: TateComputation) -> dict:
     job = comp.job
     field = comp.field
-    floor_k = job.floor_k
+    floor_k = cert_floor(field)
     mod = comp.module
     k0 = tate_object(field, 0)
     km1 = tate_object(field, -1)
@@ -217,7 +214,7 @@ def render_report(comp: TateComputation) -> dict:
     h0_ok = (h0_phi_k.same_at(k0.phi.entry(0, 0), floor_k)
              and comp.cocycle_cert["hk.unit"][0])
     h2_ok = (h2_phi_k.same_at(km1.phi.entry(0, 0), floor_k)
-             and comp.h2_n.is_zero_at(job.floor_b))
+             and comp.h2_n.is_zero_at(cert_floor(comp.base)))
     report = {
         "spec": {
             "p": job.p,
@@ -407,7 +404,7 @@ def _suite_choice_of_pi(p, prec, r, eisenstein, seed, trials):
     failures = []
     checks = 0
     base_job = JobSpec(p, prec, r, eisenstein, "pi")
-    floor = base_job.floor_k
+    floor = cert_floor(base_job.field)
     for qspec in specs:
         job = JobSpec(p, prec, r, eisenstein, qspec,
                       base_job.S, base_job.T, base_job.U)
@@ -441,7 +438,7 @@ def _suite_base_change(p, prec, r, eisenstein, seed, trials):
     small = compute_tate(JobSpec(p, prec, 1, None, "pi"))
     moved = small.module.base_change(bigfield)
     big = compute_tate(JobSpec(p, prec, ell, eis, "pi"))
-    floor = big.job.floor_k
+    floor = cert_floor(bigfield)
     failures = []
     checks = 3
     if not matrix_same_at(moved.phi, big.module.phi, floor):
@@ -459,11 +456,11 @@ def _suite_truncation_stability(p, prec, r, eisenstein, seed, trials):
     job = JobSpec(p, prec, r, eisenstein, "p")
     comp = compute_tate(job)
     wide = compute_tate(job.resized(job.S + 4, job.T + 4, job.U + 1))
-    floor = job.floor_k
     failures = []
     checks = 5
     for name in ("phi", "n_pi", "psi"):
-        if not matrix_same_at(getattr(comp, name), getattr(wide, name), floor):
+        a, b = getattr(comp, name), getattr(wide, name)
+        if not matrix_same_at(a, b, cert_floor(a.field)):
             failures.append(f"{name} moved when the windows grew")
     if comp.ranks_hk != wide.ranks_hk:
         failures.append("hk ranks moved when the windows grew")

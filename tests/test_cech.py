@@ -108,12 +108,12 @@ def test_frobenius_and_monodromy_matrices():
     for r in (1, 2, 3):
         spec = hk_spec(r)
         e1, e2 = class_e1(spec), class_e2(spec)
-        f1, _ = express_in_classes(cech_frobenius(e1), [e1, e2], CAP)
-        f2, _ = express_in_classes(cech_frobenius(e2), [e1, e2], CAP)
+        f1, _ = express_in_classes(cech_frobenius(e1), [e1, e2])
+        f2, _ = express_in_classes(cech_frobenius(e2), [e1, e2])
         assert [lift_int(c) for c in f1] == [1, 0]
         assert [lift_int(c) for c in f2] == [0, 3]
-        n1, _ = express_in_classes(cech_N(e1), [e1, e2], CAP)
-        n2, wit = express_in_classes(cech_N(e2), [e1, e2], CAP)
+        n1, _ = express_in_classes(cech_N(e1), [e1, e2])
+        n2, wit = express_in_classes(cech_N(e2), [e1, e2])
         assert [lift_int(c) for c in n1] == [0, 0]
         assert [lift_int(c) for c in n2] == [r, 0]
         # returned witness really closes the identity N(e2) = r e1 + D(wit)
@@ -126,14 +126,11 @@ def test_unit_and_top_class_operators():
         spec = hk_spec(r)
         one = unit_class(spec)
         t = top_class(spec)
-        # the degree-2 block carries integer torsion at p, so certify a
-        # couple of digits below the cap
-        floor = CAP - 2
-        c_one, _ = express_in_classes(cech_frobenius(one), [one], floor)
+        c_one, _ = express_in_classes(cech_frobenius(one), [one])
         assert lift_int(c_one[0]) == 1
-        c_top, _ = express_in_classes(cech_frobenius(t), [t], floor)
+        c_top, _ = express_in_classes(cech_frobenius(t), [t])
         assert lift_int(c_top[0]) == 3
-        c_n, _ = express_in_classes(cech_N(t), [t], floor)
+        c_n, _ = express_in_classes(cech_N(t), [t])
         assert lift_int(c_n[0]) == 0
 
 
@@ -144,12 +141,14 @@ def test_psi_at_the_trivial_branch_is_identity():
     dr = CechSpec(2, "dr", QP5, S=8, T=8, U=0, point=QP5.pi())
     lam = QP5.zero()
     e1d, e2d = class_e1(dr), class_e2(dr)
-    c1, _ = express_in_classes(cech_psi(class_e1(hk), lam, dr), [e1d, e2d], 10)
-    c2, _ = express_in_classes(cech_psi(class_e2(hk), lam, dr), [e1d, e2d], 10)
+    c1, _ = express_in_classes(cech_psi(class_e1(hk), lam, dr), [e1d, e2d])
+    c2, _ = express_in_classes(cech_psi(class_e2(hk), lam, dr), [e1d, e2d])
     assert [lift_int(c) for c in c1] == [1, 0]
     assert [lift_int(c) for c in c2] == [0, 1]
-    ct, _ = express_in_classes(cech_psi(top_class(hk), lam, dr), [top_class(dr)], 10)
+    ct, _ = express_in_classes(cech_psi(top_class(hk), lam, dr), [top_class(dr)])
     assert lift_int(ct[0]) == 1
+    # certified at cert_floor = 7, and every coordinate known to pi^10
+    assert all(c.cert_prec_pi() >= 10 for c in c1 + c2 + ct)
 
 
 def test_coboundary_witness_roundtrip():
@@ -163,7 +162,7 @@ def test_coboundary_witness_roundtrip():
                 continue
             # the basis sweep may drop edge monomials, so opt in to the
             # truncated-window solve; the residual check below is exact
-            wit = coboundary_witness(target, floor, allow_tainted=True)
+            wit = coboundary_witness(target, allow_tainted=True)
             assert (cech_D(wit) - target).is_zero_at(floor)
 
 
@@ -171,11 +170,11 @@ def test_certified_failures():
     spec = hk_spec(2)
     e1, e2 = class_e1(spec), class_e2(spec)
     with pytest.raises(NotACoboundary):
-        coboundary_witness(e1, CAP)
+        coboundary_witness(e1)
     with pytest.raises(NotInSpan):
-        express_in_classes(e2, [e1], CAP)
+        express_in_classes(e2, [e1])
     with pytest.raises(AmbiguousSolve):
-        express_in_classes(e1, [e1, e1.scale(QP.from_int(2))], CAP)
+        express_in_classes(e1, [e1, e1.scale(QP.from_int(2))])
 
 
 def test_tainted_window_is_refused():
@@ -186,7 +185,7 @@ def test_tainted_window_is_refused():
     target = cech_D(c)
     assert target.overflow
     with pytest.raises(TaintedWindow):
-        express_in_classes(target, [top_class(spec)], CAP)
+        express_in_classes(target, [top_class(spec)])
 
 
 def test_h_ranks():
@@ -203,10 +202,9 @@ def test_h_ranks():
 def h_ranks_over_all_blocks(spec):
     """The rank estimate summed over every weight block, each eliminated
     whole: the computation h_ranks reduces to one piece."""
-    floor_pi = spec.cap() - SLACK * spec.field.e
     out, tainted = {d: 0 for d in range(4)}, False
     for wt in range(-spec.T, spec.T + 1):
-        h, idx, echelons, t = _block_h_direct(spec, wt, floor_pi)
+        h, idx, echelons, t = _block_h_direct(spec, wt)
         if not any(h.values()):
             continue
         tainted = tainted or t
@@ -229,10 +227,9 @@ def test_cohomology_lives_on_one_piece():
     dr = [dr_spec(r, S=s, T=s) for r in (1, 2, 3) for s in (3, 5)] \
         + [CechSpec(2, "dr", QP, S=3, T=3, U=0, point=QP.pi())]
     for spec in hk + dr:
-        floor_pi = spec.cap() - SLACK * spec.field.e
         levels = range(spec.S + 1) if spec.side == "hk" else (0,)
         for wt in range(-spec.T, spec.T + 1):
-            whole, idx, _, _ = _block_h_direct(spec, wt, floor_pi)
+            whole, idx, _, _ = _block_h_direct(spec, wt)
             if wt:
                 # levels split weight 0 only: D mixes i elsewhere
                 assert [idx[d].keys for d in range(4)] == \
@@ -241,7 +238,7 @@ def test_cohomology_lives_on_one_piece():
                 continue
             total = {d: 0 for d in range(4)}
             for i in levels:
-                h, _, _, _ = _block_h_direct(spec, 0, floor_pi, [i])
+                h, _, _, _ = _block_h_direct(spec, 0, [i])
                 assert i == 0 or not any(h.values()), (spec.side, spec.r, i)
                 total = {d: total[d] + h[d] for d in range(4)}
             assert total == whole
@@ -379,7 +376,7 @@ def test_block_stable_rank_matches_fraction_oracle():
         big = spec.resized(3, 3, 4)
         seen_nonzero = 0
         for wt in range(-spec.T, spec.T + 1):
-            _, idx, echelons, _ = _block_h_direct(spec, wt, CAP)
+            _, idx, echelons, _ = _block_h_direct(spec, wt)
             for d in range(4):
                 dim = len(idx[d])
                 if not dim:
@@ -569,14 +566,14 @@ def test_hk_class_solve_matches_fraction_oracle():
             assert _hk_solve(got_rows, gnsrc, len(classes)) is None
             with pytest.raises(NotACoboundary if case == "coboundary" else NotInSpan):
                 if case == "coboundary":
-                    coboundary_witness(target, CAP, allow_tainted=True)
+                    coboundary_witness(target, allow_tainted=True)
                 else:
-                    express_in_classes(target, classes, CAP, allow_tainted=True)
+                    express_in_classes(target, classes, allow_tainted=True)
             seen.add("outside")
             continue
         if any(c in free for c in range(nsrc, nb)):
             with pytest.raises(AmbiguousSolve):
-                express_in_classes(target, classes, CAP, allow_tainted=True)
+                express_in_classes(target, classes, allow_tainted=True)
             seen.add("dependent")
             continue
         vec = free[nb]
@@ -592,11 +589,11 @@ def test_hk_class_solve_matches_fraction_oracle():
         for row in rows:
             assert sum(v * x.get(j, 0) for j, v in row.items()) == 0
         if case == "coboundary":
-            wit = coboundary_witness(target, CAP, allow_tainted=True)
+            wit = coboundary_witness(target, allow_tainted=True)
             pub = [] if wit is None else list(src.vector(wit).items())
             seen.add("coboundary")
         else:
-            pub_coords, wit = express_in_classes(target, classes, CAP,
+            pub_coords, wit = express_in_classes(target, classes,
                                                  allow_tainted=True)
             for got, want in zip(pub_coords, want_coords):
                 assert same_scalar(got, QP.from_rational(want))
@@ -621,8 +618,8 @@ def test_hk_coefficient_below_the_cap_is_refused():
     short = KElement(QP, (PadicScalar.from_int(CTX, 1, prec=CAP - 1),))
     for bad in (short, QP.from_rational(Fraction(1, 3))):
         with pytest.raises(AmbiguousSolve, match="not an integer"):
-            express_in_classes(e1.scale(bad), [e1, e2], CAP)
+            express_in_classes(e1.scale(bad), [e1, e2])
         with pytest.raises(AmbiguousSolve, match="not an integer"):
-            express_in_classes(e1, [e1.scale(bad), e2], CAP)
+            express_in_classes(e1, [e1.scale(bad), e2])
         with pytest.raises(AmbiguousSolve, match="not an integer"):
-            coboundary_witness(e1.scale(bad), CAP)
+            coboundary_witness(e1.scale(bad))

@@ -173,12 +173,21 @@ def test_tate_unit_branch_point_exits_two(capsys):
     (["tate", "--p", "5", "--r", "1", "--U", "-1"], "U"),
     (["tate", "--p", "3", "--r", "1", "--U", "0"], "U"),
     (["tate", "--p", "3", "--r", "1", "--prec", "8", "--T", "27"], "T = 27"),
+    (["tate", "--p", "5", "--r", "1", "--q", "(" * 1200 + "p" + ")" * 1200],
+     "deeper than"),
+    (["log", "--p", "5", "--q=" + "-" * 3000 + "p"], "deeper than"),
+    (["log", "--p", "5", "--eval", "(" * 1200 + "1+p" + ")" * 1200],
+     "deeper than"),
+    (["log", "--p", "5", "--eval=" + "-" * 3000 + "p"], "deeper than"),
+    (["tate", "--p", "5", "--r", "1", "--eisenstein", "s^2-5/0"], "denominator"),
+    (["log", "--p", "5", "--field", "s^2-5/0"], "denominator"),
 ])
 def test_zero_or_negative_input_exits_two(argv, word, capsys):
     # a branch point, divisor or log argument that is zero at the working
     # precision, a U below 1 (the class e2 carries u^[1]) and a window T that
     # reaches p^(prec - SLACK) (d(w^T) is then no certified pivot) are usage
-    # errors, not failed certificates
+    # errors, not failed certificates; so are an expression nested too deep
+    # and a zero denominator
     assert word in _exits_two_with_one_line(argv, capsys)
 
 
@@ -189,6 +198,7 @@ def test_zero_or_negative_input_exits_two(argv, word, capsys):
     (["verify", "--p", "5", "--eisenstein", "s^2-3"], "valuation"),
     (["verify", "--suite", "kim_hain_algebra", "--trials", "-3"], "trials"),
     (["verify", "--suite", "kim_hain_algebra", "--trials", "0"], "trials"),
+    (["verify", "--p", "5", "--eisenstein", "s^2-5/0"], "denominator"),
 ])
 def test_verify_bad_input_exits_two(argv, word, capsys):
     # a suite never starts on bad parameters, and a pass that checks

@@ -309,6 +309,24 @@ def test_parse_element():
         parse_element("q+1", F_BASE)
 
 
+_PARSE_TOKENS = [str(d) for d in range(10)] + \
+    ["p", "pi", "s", "(", ")", "+", "-", "*", "/", "^"]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(st.lists(st.sampled_from(_PARSE_TOKENS), max_size=10).map("".join))
+def test_parsers_raise_nothing_but_value_error(text):
+    """Every short string over the parsers' tokens parses or raises
+    ValueError, the error the CLI turns into exit 2."""
+    for parse in (lambda: parse_element(text, F_BASE),
+                  lambda: parse_element(text, F_RAM),
+                  lambda: parse_eisenstein(text, CTX5)):
+        try:
+            parse()
+        except ValueError:
+            pass
+
+
 def test_expansion_str():
     assert F_BASE.from_int(7).expansion_str(3) == "2 + pi + O(pi^3)"
     assert F_BASE.zero().expansion_str(4) == "O(pi^4)"

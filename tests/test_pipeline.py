@@ -137,6 +137,7 @@ def test_verify_suites_pass():
         "kim_hain_algebra": dict(p=3, prec=10, r=2, trials=6),
         "branch_calculus": dict(p=3, prec=10, trials=6),
         "base_change": dict(p=3, prec=10),
+        "truncation_stability": dict(p=5, prec=12, r=2, eisenstein="s^2 - 5"),
     }
     for name, kw in fast.items():
         result = verify_suite(name, **kw)
