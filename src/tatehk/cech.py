@@ -51,11 +51,12 @@ straight from the basis keys, for the exact integer echelons (one per
 block: its pivots give the rank, its back-substitution the kernel).
 operator_int_rows, which is operator_matrix (cech_D applied to every
 basis cochain) read as integers, is kept as the oracle the stencil is
-tested against. hk cochains are integer cochains, so hk class systems are
-solved exactly over Q with one echelon of [stencil | classes | target],
-and hk coordinates and witnesses are exact rationals, not certificates at
-a floor. dr class systems are eliminated over the scalars and certified
-at cert_floor(field) = e * (prec - SLACK).
+tested against. block_D builds D (stencil or operator_matrix) once per
+spec and block, for h_ranks, the class systems and the fiber lines. All
+targets of one degree share one class system, a column each: on hk one
+exact echelon of [stencil | classes | targets] over Q, so coordinates and
+witnesses are exact rationals; on dr one elimination over the scalars,
+each residual certified at cert_floor(field) = e * (prec - SLACK).
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def cert_floor(field: FieldDescriptor) -> int:
 class CechSpec:
     """Shape of the covering complex: chart count, side, scalars, windows."""
 
-    __slots__ = ("r", "side", "field", "S", "T", "U", "point")
+    __slots__ = ("r", "side", "field", "S", "T", "U", "point", "d_table")
 
     def __init__(self, r: int, side: str, field: FieldDescriptor,
                  S: int, T: int, U: int = 0, point: KElement | None = None):
@@ -110,6 +111,7 @@ class CechSpec:
         self.T = T
         self.U = U
         self.point = point
+        self.d_table = {}   # D between block indices, filled by block_D
 
     def __eq__(self, other):
         if not isinstance(other, CechSpec):
@@ -371,8 +373,8 @@ class BlockIndex:
     def __init__(self, spec: CechSpec, degree: int, weights, levels=None):
         self.spec = spec
         self.degree = degree
-        self.weights = sorted(set(weights))
-        self.levels = None if levels is None else sorted(set(levels))
+        self.weights = tuple(sorted(set(weights)))
+        self.levels = None if levels is None else tuple(sorted(set(levels)))
         self.keys = []
         for wt in self.weights:
             self.keys.extend(self._block(wt))
@@ -534,6 +536,20 @@ def hk_D_rows(src: BlockIndex, tgt: BlockIndex):
     return rows, tainted
 
 
+def block_D(src: BlockIndex, tgt: BlockIndex):
+    """(D, tainted) from src to tgt, the next degree of the same blocks: hk
+    stencil rows (hk_D_rows) or a dr operator_matrix of cech_D. Built once
+    per spec, keyed by src's degree, weights and levels, and shared by
+    h_ranks, the class systems and the fiber lines; a caller copies it
+    before adding columns."""
+    spec = src.spec
+    key = (src.degree, src.weights, src.levels)
+    if key not in spec.d_table:
+        spec.d_table[key] = hk_D_rows(src, tgt) if spec.side == "hk" \
+            else operator_matrix(src, tgt, cech_D)
+    return spec.d_table[key]
+
+
 def _block_h_direct(spec: CechSpec, wt: int, levels=None):
     """Naive per-weight ranks of the truncated complex (one weight block,
     or in weight 0 its sub-block of the given s-exponents).
@@ -549,13 +565,12 @@ def _block_h_direct(spec: CechSpec, wt: int, levels=None):
         if not dims[d] or not dims[d + 1]:
             ranks[d] = 0
             continue
+        D, t = block_D(idx[d], idx[d + 1])
         if spec.side == "hk":
-            rows, t = hk_D_rows(idx[d], idx[d + 1])
-            echelons[d] = int_echelon(rows, dims[d])
+            echelons[d] = int_echelon(D, dims[d])
             ranks[d] = len(echelons[d])
         else:
-            mat, t = operator_matrix(idx[d], idx[d + 1], cech_D)
-            ranks[d] = rank_at(mat, cert_floor(spec.field))
+            ranks[d] = rank_at(D, cert_floor(spec.field))
         tainted = tainted or t
     h = {
         0: dims[0] - ranks[0],
@@ -645,39 +660,39 @@ def is_cocycle(c: CechCochain):
     return image.is_zero_at(cert_floor(c.spec.field)), image.residual_prec()
 
 
-def _solve_indices(target: CechCochain, classes):
+def _solve_indices(targets, classes):
     """Block indices (src, tgt) of D(witness) + sum_k coords[k] classes[k] =
-    target, in the target degree and the one below (src is None in degree
-    0): the weights the target and classes carry, and in weight 0 only the
-    s-exponents they carry. The other sub-blocks of weight 0 are direct
-    summands that hold neither target nor classes, so leaving them out
-    changes neither the solution nor its pivots."""
-    blocks = cochain_blocks(target)
-    for cl in classes:
-        blocks |= cochain_blocks(cl)
+    target for targets of one degree, in it and the one below (src is None
+    in degree 0): the weights the targets and classes carry, and in weight 0
+    only the s-exponents they carry. The other sub-blocks of weight 0 are
+    direct summands that hold no target or class, so leaving them out changes
+    neither a solution nor its pivots: each target solves as it would alone."""
+    blocks = set()
+    for c in (*targets, *classes):
+        blocks |= cochain_blocks(c)
     blocks = blocks or {(0, 0)}
     weights = {wt for wt, _ in blocks}
     levels = {i for wt, i in blocks if wt == 0}
-    spec = target.spec
-    tgt = BlockIndex(spec, target.degree, weights, levels)
-    src = BlockIndex(spec, target.degree - 1, weights, levels) \
-        if target.degree else None
+    spec, degree = targets[0].spec, targets[0].degree
+    tgt = BlockIndex(spec, degree, weights, levels)
+    src = BlockIndex(spec, degree - 1, weights, levels) if degree else None
     return src, tgt
 
 
-def _hk_system(target: CechCochain, classes):
+def _hk_system(targets, classes):
     """(src, tgt, rows, tainted): the exact integer rows of an hk class
-    system. Its columns are, in order, the stencil of D (hk_D_rows), the
-    classes, and the target as the last column. A class or target entry
-    that is not an integer known to the cap is refused, never rounded."""
-    src, tgt = _solve_indices(target, classes)
-    tainted = target.overflow or any(cl.overflow for cl in classes)
+    system. Its columns are, in order, the stencil of D (block_D), the
+    classes, and one column per target. A class or target entry that is
+    not an integer known to the cap is refused, never rounded."""
+    src, tgt = _solve_indices(targets, classes)
+    tainted = any(c.overflow for c in (*targets, *classes))
     if src is None:
         rows = [{} for _ in range(len(tgt))]
     else:
-        rows, t = hk_D_rows(src, tgt)
+        D, t = block_D(src, tgt)
+        rows = [dict(row) for row in D]
         tainted = tainted or t
-    for col, c in enumerate((*classes, target), start=len(src or ())):
+    for col, c in enumerate((*classes, *targets), start=len(src or ())):
         for row, coeff in tgt.vector(c).items():
             m = _centered_int(coeff)
             if m is None:
@@ -689,85 +704,94 @@ def _hk_system(target: CechCochain, classes):
     return src, tgt, rows, tainted
 
 
-def _hk_solve(rows: list, nsrc: int, nclasses: int):
-    """Exact solution over Q of an _hk_system: (coords, witness vector) as
-    Fractions, or None when the target lies outside the span.
+def _hk_solve(rows: list, nsrc: int, nclasses: int, ntargets: int):
+    """Exact solution over Q of an _hk_system with ntargets target columns:
+    per target (coords, witness vector) as Fractions, or None outside the span.
 
-    One int_echelon decides everything: the target column is a pivot
-    exactly when it is outside the span of the columns before it, and a
+    One int_echelon decides everything. Its rows led at a column >= nb =
+    nsrc + nclasses span the row combinations vanishing on [D | classes], so
+    a target is outside the span exactly when one of them has an entry at its
+    column (being a pivot also tests it against the earlier targets). A
     class column that is no pivot makes the classes dependent modulo
-    coboundaries. Otherwise back-substituting the target column gives x
-    with x_b = d > 0, so coords = -x_C / d and witness = -x_D / d, with the
-    free coboundary coordinates zero."""
+    coboundaries. Otherwise back-substituting the target's column f gives x
+    with x_f = d > 0, so coords = -x_C / d and witness = -x_D / d."""
     nb = nsrc + nclasses
-    ech = int_echelon(rows, nb + 1)
-    if nb in ech:
-        return None
-    if any(c not in ech for c in range(nsrc, nb)):
+    ech = int_echelon(rows, nb + ntargets)
+    outside = {j for c, prow in ech.items() if c >= nb for j in prow}
+    if any(f not in outside for f in range(nb, nb + ntargets)) and \
+            any(c not in ech for c in range(nsrc, nb)):
         raise AmbiguousSolve("classes are dependent modulo coboundaries")
-    x = _back_substitute(ech, _touching(ech), nb)
-    d = x[nb]
-    coords = [Fraction(-x.get(c, 0), d) for c in range(nsrc, nb)]
-    witness = {c: Fraction(-v, d) for c, v in x.items() if c < nsrc}
-    return coords, witness
+    touch = _touching(ech)
+    sols = []
+    for f in range(nb, nb + ntargets):
+        x = None if f in outside else _back_substitute(ech, touch, f)
+        sols.append(None if x is None else
+                    ([Fraction(-x.get(c, 0), x[f]) for c in range(nsrc, nb)],
+                     {c: Fraction(-v, x[f]) for c, v in x.items() if c < nsrc}))
+    return sols
 
 
-def _solve_setup(target: CechCochain, classes):
-    """(src, tgt, matrix [D | classes], tainted) of a dr class system."""
-    spec = target.spec
-    src, tgt = _solve_indices(target, classes)
-    nsrc = len(src or ())
-    if src is None:
-        full = PrecMatrix(spec.field, len(tgt), len(classes))
-        tainted = False
-    else:
-        full, tainted = operator_matrix(src, tgt, cech_D)
-        full.ncols += len(classes)
-    for t, cl in enumerate(classes):
-        tainted = tainted or cl.overflow
-        for row, coeff in tgt.vector(cl).items():
-            full.set_entry(row, nsrc + t, coeff)
-    tainted = tainted or target.overflow
-    return src, tgt, full, tainted
+def _solve(targets, classes, allow_tainted: bool, what: str):
+    """Per target, (coords, witness) of target = D(witness) + sum_k
+    coords[k] classes[k], or None when it is certified outside the span.
 
-
-def _solve(target: CechCochain, classes, allow_tainted: bool, what: str):
-    """(coords, witness) of target = D(witness) + sum_k coords[k] classes[k],
-    or None when the target is certified outside the span.
-
+    The targets share one degree and one elimination, with one column each.
     hk cochains are integer cochains: their system is solved exactly over Q
-    (_hk_solve) and only the solution is entered into K. The dr system is
-    eliminated over K and certified at cert_floor."""
-    spec = target.spec
+    (_hk_solve) and only the solutions are entered into K. The dr system is
+    eliminated over K and each residual certified at cert_floor."""
+    if not targets:
+        return []
+    spec = targets[0].spec
+    field = spec.field
     if spec.side == "hk":
-        src, tgt, rows, tainted = _hk_system(target, classes)
+        src, tgt, rows, tainted = _hk_system(targets, classes)
     else:
-        src, tgt, full, tainted = _solve_setup(target, classes)
+        # [D | classes] over K; the targets are right-hand sides
+        src, tgt = _solve_indices(targets, classes)
+        D, tainted = (PrecMatrix(field, len(tgt), 0), False) if src is None \
+            else block_D(src, tgt)
+        full = PrecMatrix(field, D.nrows, D.ncols + len(classes),
+                          [dict(row) for row in D.rows])
+        for t, cl in enumerate(classes, start=D.ncols):
+            for row, coeff in tgt.vector(cl).items():
+                full.set_entry(row, t, coeff)
+        tainted = tainted or any(c.overflow for c in (*targets, *classes))
     if tainted and not allow_tainted:
         raise TaintedWindow(f"window overflow while forming the {what} system")
     nsrc = len(src or ())
     if spec.side == "hk":
-        sol = _hk_solve(rows, nsrc, len(classes))
-        if sol is None:
-            return None
-        coords = [spec.field.from_rational(q) for q in sol[0]]
-        wvec = {c: spec.field.from_rational(q) for c, q in sol[1].items()}
+        sols = [None if s is None else
+                ([field.from_rational(q) for q in s[0]],
+                 {c: field.from_rational(q) for c, q in s[1].items()})
+                for s in _hk_solve(rows, nsrc, len(classes), len(targets))]
     else:
-        x, res = _solve_echelon(full, tgt.vector(target), cert_floor(spec.field))
-        if x is None:
-            return None
-        if classes:
+        xs, res = _solve_echelon(full, [tgt.vector(t) for t in targets],
+                                 cert_floor(field))
+        if classes and any(x is not None for x in xs):
             # coordinates are canonical only if every class column earns a
             # pivot after the coboundary columns (independence modulo the
             # image of D)
-            res.rank_at(cert_floor(spec.field))
+            res.rank_at(cert_floor(field))
             if sum(1 for _, c in res.pivots if c >= nsrc) < len(classes):
                 raise AmbiguousSolve(
                     "classes are dependent modulo coboundaries at this depth")
-        zero = spec.field.zero()
-        coords = [x.get(nsrc + t, zero) for t in range(len(classes))]
-        wvec = {c: v for c, v in x.items() if c < nsrc}
-    return coords, None if src is None else src.cochain(wvec)
+        sols = [None if x is None else
+                ([x.get(nsrc + t, field.zero()) for t in range(len(classes))],
+                 {c: v for c, v in x.items() if c < nsrc}) for x in xs]
+    return [None if s is None else
+            (s[0], None if src is None else src.cochain(s[1])) for s in sols]
+
+
+def express_all(targets, classes, *, allow_tainted: bool = False) -> list:
+    """express_in_classes for several targets of one degree, solved in one
+    elimination: one (coords, witness) per target, each equal to what the
+    target gets alone. Raises as express_in_classes does; NotInSpan if any
+    target is certified outside the span."""
+    sols = _solve(targets, classes, allow_tainted, "class")
+    if any(s is None for s in sols):
+        raise NotInSpan("target is certified outside the span of the classes "
+                        "modulo coboundaries")
+    return sols
 
 
 def express_in_classes(target: CechCochain, classes, *,
@@ -779,12 +803,9 @@ def express_in_classes(target: CechCochain, classes, *,
     field. Raises NotInSpan on a certified obstruction,
     AmbiguousSolve if the coordinates are not pinned down (dependent
     classes, or a dr system undecidable at the requested depth),
-    TaintedWindow if window overflow undermines the certificate."""
-    sol = _solve(target, classes, allow_tainted, "class")
-    if sol is None:
-        raise NotInSpan("target is certified outside the span of the classes "
-                        "modulo coboundaries")
-    return sol
+    TaintedWindow if window overflow undermines the certificate. It is the
+    one-target case of express_all."""
+    return express_all([target], classes, allow_tainted=allow_tainted)[0]
 
 
 def coboundary_witness(target: CechCochain, *,
@@ -792,7 +813,7 @@ def coboundary_witness(target: CechCochain, *,
     """Solve D(witness) = target; raises NotACoboundary when obstructed.
     The witness is exact on the hk side and certified at cert_floor on the
     dr side."""
-    sol = _solve(target, [], allow_tainted, "coboundary")
+    sol = _solve([target], [], allow_tainted, "coboundary")[0]
     if sol is None:
         raise NotACoboundary("target is certified not to be a coboundary",
                              obstruction=target)

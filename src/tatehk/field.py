@@ -676,6 +676,8 @@ def parse_eisenstein(src: str, ctx: PadicContext) -> FieldDescriptor:
         terms[k] = terms.get(k, Fraction(0)) + c
         pos = m.end()
     e = max(terms)
+    if e > _MAX_DEGREE:
+        raise ValueError(f"polynomial degree {e} exceeds the limit {_MAX_DEGREE}")
     if e < 1:
         raise ValueError("polynomial must involve s")
     if terms[e] != 1:
@@ -687,6 +689,8 @@ def parse_eisenstein(src: str, ctx: PadicContext) -> FieldDescriptor:
 # nesting depth parse_element accepts; each level costs it a few stack
 # frames, so this bound keeps it far from the interpreter's recursion limit
 _MAX_NESTING = 100
+# degree parse_eisenstein accepts: setting up the field costs about e^2.2
+_MAX_DEGREE = 64
 
 
 class _Tok:

@@ -211,39 +211,41 @@ def solve(a: PrecMatrix, b: dict, floor_pi: int):
     b is a sparse dict row-index -> KElement. Consistency is decided at the
     pi-adic floor; an undecidable residual raises AmbiguousSolve.
     """
-    return _solve_echelon(a, b, floor_pi)[0]
+    return _solve_echelon(a, [b], floor_pi)[0][0]
 
 
-def _solve_echelon(a: PrecMatrix, b: dict, floor_pi: int):
-    """(solve(a, b, floor_pi), echelon of the elimination that decided it).
+def _solve_echelon(a: PrecMatrix, bs: list, floor_pi: int):
+    """([solve(a, b, floor_pi) for b in bs], echelon of the one elimination
+    that decided them all).
 
-    Pivot choice in a column never looks at the b column, so the echelon
-    has the pivots and ambiguity of row_reduce(a) without a second pass."""
-    aug = PrecMatrix(a.field, a.nrows, a.ncols + 1,
-                     [dict(r) for r in a.rows])
-    for i, v in b.items():
-        if not v.is_prunable_zero():
-            aug.rows[i][a.ncols] = v
-    res = row_reduce(aug, max_cols=a.ncols)
+    The right-hand sides ride along as columns after a. Pivot choice in a
+    column never looks at them, so each gets the row operations it would get
+    alone, and the echelon has the pivots and ambiguity of row_reduce(a)
+    without a second pass."""
+    n = a.ncols
+    aug = PrecMatrix(a.field, a.nrows, n + len(bs), [dict(r) for r in a.rows])
+    for k, b in enumerate(bs, start=n):
+        for i, v in b.items():
+            if not v.is_prunable_zero():
+                aug.rows[i][k] = v
+    res = row_reduce(aug, max_cols=n)
     pivot_rows = {r for r, _ in res.pivots}
-    for i in range(aug.nrows):
-        if i in pivot_rows:
-            continue
-        v = res.echelon.rows[i].get(a.ncols)
-        if v is None:
-            continue
-        if v.is_zero_at(floor_pi):
-            continue
-        if v.ord_pi_or_none() is not None:
-            return None, res  # certified obstruction: residual valuation below floor
-        raise AmbiguousSolve(
-            f"residual zero only at O(pi^{v.cert_prec_pi()}) < floor {floor_pi}")
-    x: dict = {}
-    for i, col in res.pivots:
-        v = res.echelon.rows[i].get(a.ncols)
-        if v is not None:
-            x[col] = v  # pivot is scaled to 1, free variables set to zero
-    return x, res
+    free_rows = [row for i, row in enumerate(res.echelon.rows) if i not in pivot_rows]
+    sols = []
+    for k in range(n, n + len(bs)):
+        for row in free_rows:
+            v = row.get(k)
+            if v is not None and not v.is_zero_at(floor_pi):
+                if v.ord_pi_or_none() is None:
+                    raise AmbiguousSolve(f"residual zero only at O(pi^"
+                                         f"{v.cert_prec_pi()}) < floor {floor_pi}")
+                sols.append(None)  # certified obstruction: residual below floor
+                break
+        else:
+            # pivots are scaled to 1, free variables set to zero
+            sols.append({col: res.echelon.rows[i][k] for i, col in res.pivots
+                         if k in res.echelon.rows[i]})
+    return sols, res
 
 
 def kernel_basis(a: PrecMatrix, floor_pi: int) -> list:

@@ -19,10 +19,9 @@ import random
 import re
 from fractions import Fraction
 
-from .cech import (SLACK, BlockIndex, CechSpec, cech_D, cech_frobenius, cech_N,
+from .cech import (SLACK, BlockIndex, CechSpec, block_D, cech_frobenius, cech_N,
                    cech_psi, cert_floor, class_e1, class_e2, dr_window_bound,
-                   express_in_classes, h_ranks, is_cocycle, operator_matrix,
-                   top_class, unit_class)
+                   express_all, h_ranks, is_cocycle, top_class, unit_class)
 from .charts import _CHART_SLOTS, ChartElement
 from .field import FieldDescriptor, k_teichmuller, parse_eisenstein
 from .kimhain import UForm
@@ -97,40 +96,39 @@ class TateComputation:
                  "ranks_hk", "ranks_dr", "ranks_tainted")
 
 
-def _in_basis(op, sources, classes) -> PrecMatrix:
-    """Column k: the coordinates of op(sources[k]) in the classes."""
-    cols = [express_in_classes(op(src), classes)[0] for src in sources]
-    return PrecMatrix.from_rows(classes[0].spec.field, list(zip(*cols)))
+def _in_basis(ops, sources, classes) -> list:
+    """One matrix per op, column k the coordinates of op(sources[k]) in the
+    classes; all the images are targets of one class system."""
+    n, field = len(sources), classes[0].spec.field
+    cols = [c for c, _ in express_all([op(s) for op in ops for s in sources], classes)]
+    return [PrecMatrix.from_rows(field, list(zip(*cols[k:k + n])))
+            for k in range(0, len(cols), n)]
 
 
-def fiber_one_form_lines(dr: CechSpec, classes):
+def fiber_one_form_lines(dr: CechSpec, classes, extra):
     """Classes of degree-1 cocycles with no overlap component.
 
     These are the candidates for the one-form line of the fiber: global
     one-forms of the cover glue to a cocycle exactly when the overlap
-    component vanishes. Returns independent coordinate vectors in the
-    given class basis, certified at cert_floor."""
+    component vanishes. They are solved in one class system with the
+    degree-1 targets extra. Returns (independent coordinate vectors in the
+    given class basis, the coordinates of each extra target), certified at
+    cert_floor."""
     floor_pi = cert_floor(dr.field)
-    idx1 = BlockIndex(dr, 1, [0])
-    idx2 = BlockIndex(dr, 2, [0])
-    mat, _ = operator_matrix(idx1, idx2, cech_D)
+    idx1 = BlockIndex(dr, 1, [0], [0])
+    mat, _ = block_D(idx1, BlockIndex(dr, 2, [0], [0]))
     zcols = [k for k, key in enumerate(idx1.keys) if key[1] == "Z"]
-    sub = PrecMatrix(dr.field, len(idx2), len(zcols),
+    sub = PrecMatrix(dr.field, mat.nrows, len(zcols),
                      [{new: row[old] for new, old in enumerate(zcols) if old in row}
                       for row in mat.rows])
-    lines = []
-    for vec in kernel_basis(sub, floor_pi):
-        coch = idx1.cochain({zcols[k]: v for k, v in vec.items()})
-        coords, _ = express_in_classes(coch, classes)
-        if all(c.is_zero_at(floor_pi) for c in coords):
-            continue
-        lines.append(coords)
-    if not lines:
-        return []
-    red = row_reduce(PrecMatrix.from_rows(dr.field, lines))
+    kernel = [idx1.cochain({zcols[k]: v for k, v in vec.items()})
+              for vec in kernel_basis(sub, floor_pi)]
+    coords = [c for c, _ in express_all([*extra, *kernel], classes)]
+    red = row_reduce(PrecMatrix.from_rows(dr.field, [
+        c for c in coords[len(extra):] if not all(x.is_zero_at(floor_pi) for x in c)]))
     red.rank_at(floor_pi)
     return [[red.echelon.entry(i, j) for j in range(len(classes))]
-            for i, _ in red.pivots]
+            for i, _ in red.pivots], coords[:len(extra)]
 
 
 def compute_tate(job: JobSpec) -> TateComputation:
@@ -156,22 +154,22 @@ def compute_tate(job: JobSpec) -> TateComputation:
         for name, cls in table.items():
             out.cocycle_cert[f"{side}.{name}"] = is_cocycle(cls)
 
+    # one class system per (side, degree)
     h1h, h1d = [e1h, e2h], [e1d, e2d]
-    out.phi = _in_basis(cech_frobenius, h1h, h1h)
-    out.n_pi = _in_basis(cech_N, h1h, h1h)
-    out.h0_phi = _in_basis(cech_frobenius, [unith], [unith]).entry(0, 0)
-    out.h2_phi = _in_basis(cech_frobenius, [toph], [toph]).entry(0, 0)
-    out.h2_n = _in_basis(cech_N, [toph], [toph]).entry(0, 0)
+    out.phi, out.n_pi = _in_basis([cech_frobenius, cech_N], h1h, h1h)
+    out.h0_phi = _in_basis([cech_frobenius], [unith], [unith])[0].entry(0, 0)
+    h2_phi, h2_n = _in_basis([cech_frobenius, cech_N], [toph], [toph])
+    out.h2_phi, out.h2_n = h2_phi.entry(0, 0), h2_n.entry(0, 0)
 
     def psi(cls):
         return cech_psi(cls, out.lam, out.dr)
 
-    out.psi = _in_basis(psi, h1h, h1d)
+    out.h0_psi = _in_basis([psi], [unith], [unitd])[0].entry(0, 0)
+    out.h2_psi = _in_basis([psi], [toph], [topd])[0].entry(0, 0)
+    out.fil_dr, psi_cols = fiber_one_form_lines(out.dr, h1d,
+                                                [psi(c) for c in h1h])
+    out.psi = PrecMatrix.from_rows(field, list(zip(*psi_cols)))
     out.psi_inv = matrix_inverse(out.psi)
-    out.h0_psi = _in_basis(psi, [unith], [unitd]).entry(0, 0)
-    out.h2_psi = _in_basis(psi, [toph], [topd]).entry(0, 0)
-
-    out.fil_dr = fiber_one_form_lines(out.dr, h1d)
     out.fil_hk = []
     for coords in out.fil_dr:
         vec = out.psi_inv.apply_to(dict(enumerate(coords)))

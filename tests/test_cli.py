@@ -181,13 +181,16 @@ def test_tate_unit_branch_point_exits_two(capsys):
     (["log", "--p", "5", "--eval=" + "-" * 3000 + "p"], "deeper than"),
     (["tate", "--p", "5", "--r", "1", "--eisenstein", "s^2-5/0"], "denominator"),
     (["log", "--p", "5", "--field", "s^2-5/0"], "denominator"),
+    (["tate", "--p", "5", "--r", "1", "--eisenstein", "s^65+5"], "degree 65"),
+    (["log", "--p", "5", "--field", "s^65+5"], "degree 65"),
+    (["log", "--p", "5", "--field", "s^99999+5"], "degree 99999"),
 ])
 def test_zero_or_negative_input_exits_two(argv, word, capsys):
     # a branch point, divisor or log argument that is zero at the working
     # precision, a U below 1 (the class e2 carries u^[1]) and a window T that
     # reaches p^(prec - SLACK) (d(w^T) is then no certified pivot) are usage
-    # errors, not failed certificates; so are an expression nested too deep
-    # and a zero denominator
+    # errors, not failed certificates; so are an expression nested too deep,
+    # a zero denominator and an Eisenstein degree past the limit
     assert word in _exits_two_with_one_line(argv, capsys)
 
 
@@ -199,6 +202,7 @@ def test_zero_or_negative_input_exits_two(argv, word, capsys):
     (["verify", "--suite", "kim_hain_algebra", "--trials", "-3"], "trials"),
     (["verify", "--suite", "kim_hain_algebra", "--trials", "0"], "trials"),
     (["verify", "--p", "5", "--eisenstein", "s^2-5/0"], "denominator"),
+    (["verify", "--p", "5", "--eisenstein", "s^65+5"], "degree 65"),
 ])
 def test_verify_bad_input_exits_two(argv, word, capsys):
     # a suite never starts on bad parameters, and a pass that checks

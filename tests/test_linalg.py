@@ -185,7 +185,7 @@ def test_solve_echelon_matches_row_reduce():
                         m.rows[i].pop(col, None)
             b = {i: fld.from_int(rng.randint(-9, 9)) for i in range(nrows)
                  if rng.random() < 0.7}
-            sol, res = _solve_echelon(m, b, 1)
+            (sol,), res = _solve_echelon(m, [b], 1)
             ref = row_reduce(m)
             assert res.pivots == ref.pivots
             assert res.ambiguity == ref.ambiguity

@@ -161,3 +161,30 @@ def test_reports_at_prec_n_and_n_plus_6_agree(job):
     moved = {d["path"] for d in report_diff(lo, hi)}
     assert moved <= {"/spec/prec", "/meta/cap_pi", "/meta/floor_pi"} | \
         {f"/classes/{key}/residual_depth" for key in lo["classes"]}
+
+
+def test_compute_tate_solves_one_system_per_side_and_degree(monkeypatch):
+    """One compute_tate builds each dr D once, shared by h_ranks, the class
+    systems and the fiber lines (2 operator_matrix calls: D_0 and D_1), and
+    solves one class system per (side, degree) (6 _solve calls)."""
+    import sys
+    from collections import Counter
+
+    import tatehk.cech as cech
+    calls = Counter()
+    modules = [m for k, m in list(sys.modules.items())
+               if k.split(".")[0] == "tatehk" and m is not None]
+    for name in ("operator_matrix", "_solve"):
+        orig = getattr(cech, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for mod in modules:
+            if vars(mod).get(name) is orig:
+                monkeypatch.setattr(mod, name, counted)
+    for job in ((3, 20, 2), (5, 20, 2, "s^2 - 5")):
+        calls.clear()
+        compute_tate(JobSpec(*job))
+        assert calls == {"operator_matrix": 2, "_solve": 6}
