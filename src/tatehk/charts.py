@@ -128,12 +128,19 @@ class _SparseForm:
         return self + (-other)
 
     def scale(self, c):
+        """self times c: a K element, or a Q_p scalar converted once per form.
+        The int 1, (0, 1, cap), leaves a zero (n, 0, n) and a coefficient (v, u, n)
+        of relative precision n - v <= cap as they are: O(p^min(v + cap, n)) is
+        O(p^n), and u mod p^(n - v) is u. There scale(1) only drops prunable zeros."""
         out = self._blank()
+        fld, cs = self.field, self.coeffs
         if isinstance(c, KElement):
-            out.coeffs = {k: v * c for k, v in self.coeffs.items()}
-        else:
-            out.coeffs = {k: v.scale(c) for k, v in self.coeffs.items()}
-        out.coeffs = {k: v for k, v in out.coeffs.items() if not v.is_prunable_zero()}
+            cs = {k: v * c for k, v in cs.items()}
+        elif not (isinstance(c, int) and c == 1 and all(
+                n - v <= fld.cap for x in cs.values() for v, _, n in x._c)):
+            c = fld._scalar(c)
+            cs = {k: fld._scaled(v._c, c) for k, v in cs.items()}
+        out.coeffs = {k: v for k, v in cs.items() if not v.is_prunable_zero()}
         return out
 
     def is_zero_at(self, floor_pi: int) -> bool:

@@ -126,7 +126,7 @@ class FieldDescriptor:
     """K = Q_p[s]/(f) for monic Eisenstein f = s^e + a_{e-1} s^{e-1} + ... + a_0."""
 
     __slots__ = ("ctx", "p", "cap", "coeffs", "e", "p_over_pi", "_zeros",
-                 "_den", "_rows", "_up", "_down")
+                 "_den", "_rows", "_up", "_down", "_log_plans")
 
     def __init__(self, ctx: PadicContext, coeffs: tuple):
         """coeffs are the non-leading coefficients (a_0, ..., a_{e-1}) as ints or Fractions."""
@@ -154,6 +154,7 @@ class FieldDescriptor:
         self._den, self._rows = _integer_rows(_reduction_rows(coeffs)[:self.e - 1], ctx.p)
         self._up = [(i, self._rational(-c)) for i, c in enumerate(coeffs) if c]
         self._down = [(i, self._rational(c / ctx.p)) for i, c in enumerate(self.p_over_pi) if c]
+        self._log_plans = {}  # plog._log_plan's series plans, by (v, depth)
 
     @classmethod
     def base(cls, ctx: PadicContext) -> "FieldDescriptor":

@@ -24,7 +24,11 @@ p^G * sum y^n / n mod p^M; so coefficient i of the log is -p^-(G+k) * S_i,
 read at absolute precision ceil((D - i)/e). The k more digits of M are
 the ones the division by p^k spends. k minimises k * (products per p-th
 power, by square-and-multiply) + n_max; it is 0 where reducing does not
-pay, as at p = 211.
+pay, as at p = 211. All of this but the lifts of u is fixed by v =
+ord_pi(1 - u) and D: _log_plan builds k, G, p^M, the fold rows and the
+w_n once per field and key (v, D), kept on the FieldDescriptor. A field
+has at most (e * prec)^2 keys of n_max weights each. The plan is what each
+call built before, so D and every value are unchanged.
 
 The depth D: if x = 1 - u is known to O(pi^c), an error y of valuation
 >= c moves log(1 - x) by log(1 - y/(1 - x)), whose terms have valuation
@@ -80,10 +84,32 @@ def log_depth(c: int, e: int, p: int) -> int:
     return p ** k * c - e * k
 
 
+def _log_plan(fld: FieldDescriptor, v: int, depth: int) -> tuple:
+    """The plan (k, G, p^M, fold rows, w_n for n = n_max..1) for the key (v, D)."""
+    plan = fld._log_plans.get((v, depth))
+    if plan is None:
+        p, e, prec = fld.p, fld.e, fld.cap
+        per_power = p.bit_length() + bin(p).count("1") - 2  # square-and-multiply
+        cost = n_max = series_cutoff(v, e, p, prec)
+        guard, k, r, t = 0, 0, 1, min(v + e, p * v)
+        while r * per_power < cost:
+            n = series_cutoff(t, e, p, prec + r)
+            if r * per_power + n < cost:
+                cost, k, n_max = r * per_power + n, r, n
+            r, t = r + 1, min(t + e, p * t)
+        while p ** (guard + 1) <= n_max:
+            guard += 1
+        mod = p ** max(1, -(-depth // e) + guard + k)
+        weights = [p ** (guard - vp(n, p)) * pow(n // p ** vp(n, p), -1, mod)
+                   for n in range(n_max, 0, -1)]
+        plan = fld._log_plans[v, depth] = (k, guard, mod, fld.fold_rows(mod), weights)
+    return plan
+
+
 def log_one_unit(u: KElement) -> KElement:
     """log u = p^-k * log(u^(p^k)) for u in 1 + m, to the depth D of the module docstring."""
     fld = u.field
-    ctx, e, p = fld.ctx, fld.e, fld.ctx.p
+    e, p = fld.e, fld.p
     x = fld.one() - u
     v, c = x.ord_pi_or_none(), x.cert_prec_pi()
     if (c if v is None else v) < 1:
@@ -91,18 +117,7 @@ def log_one_unit(u: KElement) -> KElement:
     depth = log_depth(c, e, p)  # c, hence depth, is at most e * prec
     total, guard, k = [0] * e, 0, 0
     if v is not None:
-        per_power = p.bit_length() + bin(p).count("1") - 2  # square-and-multiply
-        cost = n_max = series_cutoff(v, e, p, ctx.prec)
-        r, t = 1, min(v + e, p * v)
-        while r * per_power < cost:
-            n = series_cutoff(t, e, p, ctx.prec + r)
-            if r * per_power + n < cost:
-                cost, k, n_max = r * per_power + n, r, n
-            r, t = r + 1, min(t + e, p * t)
-        while p ** (guard + 1) <= n_max:
-            guard += 1
-        mod = p ** max(1, -(-depth // e) + guard + k)
-        rows = fld.fold_rows(mod)
+        k, guard, mod, rows, weights = _log_plan(fld, v, depth)
         z = [(int(i == 0) - a) % mod for i, a in enumerate(x.lifts(mod))]  # u
         for _ in range(k):  # z <- z^p, by square-and-multiply
             base = z
@@ -111,9 +126,8 @@ def log_one_unit(u: KElement) -> KElement:
                 if bit == "1":
                     z = int_product(z, base, rows, mod)
         y = [(int(i == 0) - a) % mod for i, a in enumerate(z)]  # 1 - u^(p^k)
-        for n in range(n_max, 0, -1):  # Horner: total <- (total + w_n) * y
-            j = vp(n, p)
-            total[0] += p ** (guard - j) * pow(n // p ** j, -1, mod)
+        for w in weights:  # Horner: total <- (total + w_n) * y
+            total[0] += w
             total = int_product(total, y, rows, mod)
     return fld.from_ints([-a for a in total], -guard - k,
                          [-(-(depth - i) // e) for i in range(e)])

@@ -682,3 +682,42 @@ def test_several_targets_solve_as_each_alone(side):
                     assert cochain_digits(g[1]) == cochain_digits(w[1])
             with pytest.raises(NotInSpan):
                 cech.express_all(targets, classes, allow_tainted=True)
+
+
+# -- certificates at the floor ----------------------------------------------
+
+FLOOR_FIELD = parse_eisenstein("s^2 - 3", PadicContext(3, 20))
+
+
+def _e1_plus_pi_power(k):
+    """(spec, e1 + pi^k x) on the dr side of r = 2 over s^2 - 3, x the cochain
+    with a unit at (0, 'Z', 1, 0, 0, 0): dlog v at j = 0 on the first
+    chart, whose D is a unit cochain. So D of the sum has valuation k."""
+    fld = FLOOR_FIELD
+    spec = CechSpec(2, "dr", fld, S=8, T=8, U=0, point=fld.pi())
+    x = BlockIndex(spec, 1, {0}, {0}).basis_cochain((0, "Z", 1, 0, 0, 0))
+    assert cech_D(x).residual_prec() == 0
+    return spec, class_e1(spec) + x.scale(fld.one().shift(k))
+
+
+def test_is_cocycle_decides_at_the_floor():
+    """A cochain whose D has valuation cert_floor - 1 is no cocycle; one
+    whose D has valuation cert_floor is one."""
+    floor = cech.cert_floor(FLOOR_FIELD)
+    assert floor == 30
+    assert cech.is_cocycle(_e1_plus_pi_power(floor - 1)[1]) == (False, floor - 1)
+    assert cech.is_cocycle(_e1_plus_pi_power(floor)[1]) == (True, floor)
+
+
+def test_dr_residual_is_certified_at_the_floor():
+    """e1 + pi^k x lies outside the span of e1, e2 modulo coboundaries at
+    k = cert_floor - 1 and inside it at k = cert_floor, with coordinates
+    (1, 0) there."""
+    floor = cech.cert_floor(FLOOR_FIELD)
+    spec, target = _e1_plus_pi_power(floor - 1)
+    with pytest.raises(NotInSpan):
+        express_in_classes(target, [class_e1(spec), class_e2(spec)])
+    spec, target = _e1_plus_pi_power(floor)
+    coords, _ = express_in_classes(target, [class_e1(spec), class_e2(spec)])
+    assert (coords[0] - FLOOR_FIELD.one()).is_zero_at(floor)
+    assert coords[1].is_zero_at(floor)

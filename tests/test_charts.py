@@ -9,7 +9,7 @@ import pytest
 
 from tatehk.charts import XF, WF, ChartElement, FiberElement, W, Z
 from tatehk.errors import ChartMismatch
-from tatehk.field import FieldDescriptor, parse_eisenstein
+from tatehk.field import FieldDescriptor, KElement, parse_eisenstein
 from tatehk.padic import PadicContext, PadicScalar
 
 CTX = PadicContext(5, 12)
@@ -409,3 +409,31 @@ def test_shared_sparse_core(core):
             bad + form(k0)
         with pytest.raises(ChartMismatch):
             form(k0) - bad
+
+
+def test_scale_by_one_is_the_full_product_or_skips_it_exactly():
+    """scale(1) gives, key for key, what scaling every coefficient by 1 gives,
+    with a prunable zero dropped: over Q_5 and s^2 - 5, for coefficients of
+    negative valuation, known below the cap, and zero below the cap. A
+    coefficient known beyond the cap still comes back capped."""
+    def triples(x):
+        return [x.coeff(i) for i in range(x.field.e)]
+
+    for field in (QP, RAM):
+        e = field.e
+        high = KElement(field, (PadicScalar.from_int(CTX, 1, prec=CAP + 5),)
+                        + (PadicScalar.zero(CTX),) * (e - 1))
+        within = {(0, 0, 0): field.from_int(7),
+                  (1, 2, 0): field.from_rational(Fraction(3, 5)),
+                  (2, -1, 0): KElement(field, (PadicScalar.from_int(CTX, 4, prec=CAP - 3),) * e),
+                  (1, 1, 0): KElement(field, (PadicScalar.zero(CTX, CAP - 2),) * e),
+                  (3, 0, 0): field.zero()}
+        for coeffs in (within, {**within, (2, 2, 0): high}):
+            form = ChartElement(field, R, Z, 1, 0, S, T, coeffs=dict(coeffs))
+            got = form.scale(1)
+            want = {k: v.scale(1) for k, v in coeffs.items()}
+            assert set(got.coeffs) == set(coeffs) - {(3, 0, 0)}
+            assert all(triples(got.coeffs[k]) == triples(want[k]) for k in got.coeffs)
+    high = KElement(QP, (PadicScalar.from_int(CTX, 1, prec=CAP + 5),))
+    form = ChartElement(QP, R, Z, 1, 0, S, T, coeffs={(0, 0, 0): high})
+    assert form.scale(1).coeffs[(0, 0, 0)].coeff(0) == (0, 1, CAP)

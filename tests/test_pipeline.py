@@ -188,3 +188,34 @@ def test_compute_tate_solves_one_system_per_side_and_degree(monkeypatch):
         calls.clear()
         compute_tate(JobSpec(*job))
         assert calls == {"operator_matrix": 2, "_solve": 6}
+
+
+def test_identity_suites_compute_each_shared_subterm_once(monkeypatch):
+    """A kim_hain_algebra trial takes 9 u-form products (x*y once for its four
+    identities) and a branch_calculus trial 8 logs of one-units (log_q(x) once
+    for its two identities). A count, not a timing."""
+    import sys
+    from collections import Counter
+
+    import tatehk.plog as plog
+    from tatehk.kimhain import UForm
+    calls = Counter()
+
+    def counter(name, orig):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(UForm, "mul", counter("mul", UForm.mul))
+    log = counter("log", plog.log_one_unit)
+    for key, mod in list(sys.modules.items()):
+        if key.split(".")[0] == "tatehk" and mod is not None \
+                and vars(mod).get("log_one_unit") is plog.log_one_unit:
+            monkeypatch.setattr(mod, "log_one_unit", log)
+    for seed in (1, 2, 3):
+        calls.clear()
+        verify_suite("kim_hain_algebra", p=3, prec=14, r=2, seed=seed, trials=3)
+        verify_suite("branch_calculus", p=5, prec=20, eisenstein="s^2 - 5",
+                     seed=seed, trials=3)
+        assert calls == {"mul": 3 * 9, "log": 3 * 8}

@@ -358,3 +358,58 @@ def test_branch_log_is_a_homomorphism(fld, ints, a, b, m):
     assert (lhs - rhs).is_zero_at(min(lhs.cert_prec_pi(), rhs.cert_prec_pi()))
     lq = br.log(q)
     assert lq.is_zero_at(lq.cert_prec_pi())
+
+
+# -- the series plan, built once per field and key ---------------------------
+
+# e = 1, 2, 3 over Q_5 at prec 20
+PLAN_FIELDS = ["s-5", "s^2-5", "s^3+25*s^2-5"]
+
+
+def _seeded_unit(fld, rng):
+    """1 + pi^k * x for seeded x and k, the coefficients of x known to one of
+    two absolute precisions, so that both v = ord_pi(1 - u) and D vary."""
+    prec = rng.choice((fld.cap - 3, fld.cap))
+    x = KElement(fld, tuple(PadicScalar.from_int(fld.ctx, rng.randrange(1, 5 ** 12),
+                                                 prec=prec) for _ in range(fld.e)))
+    return fld.one() + x.shift(rng.randrange(1, 4))
+
+
+@pytest.mark.parametrize("poly", PLAN_FIELDS)
+def test_log_plans_give_the_values_of_a_fresh_field(poly):
+    """Logs of 50 seeded units on one field, whose series plans are reused,
+    equal coefficient triple for coefficient triple the logs of the same
+    units each taken on a freshly built field."""
+    ctx = PadicContext(5, 20)
+    shared = parse_eisenstein(poly, ctx)
+    rng = random.Random(poly)
+    for _ in range(50):
+        state = rng.getstate()
+        kept = log_one_unit(_seeded_unit(shared, rng))
+        rng.setstate(state)
+        fresh_field = parse_eisenstein(poly, ctx)
+        fresh = log_one_unit(_seeded_unit(fresh_field, rng))
+        assert [kept.coeff(i) for i in range(shared.e)] == \
+            [fresh.coeff(i) for i in range(shared.e)]
+    assert len(shared._log_plans) < 25  # most logs reused a plan
+
+
+def test_a_second_log_with_the_same_key_plans_nothing(monkeypatch):
+    """A log whose (ord_pi(1 - u), D) an earlier log on the same field had
+    calls series_cutoff no more."""
+    count = [0]
+    cutoff = plog.series_cutoff
+
+    def counted(*args):
+        count[0] += 1
+        return cutoff(*args)
+
+    monkeypatch.setattr(plog, "series_cutoff", counted)
+    for poly in PLAN_FIELDS:
+        fld = parse_eisenstein(poly, PadicContext(5, 20))
+        count[0] = 0
+        log_one_unit(fld.one() + fld.pi() * 7)
+        assert count[0] > 0
+        count[0] = 0
+        log_one_unit(fld.one() + fld.pi() * 11)
+        assert count[0] == 0
