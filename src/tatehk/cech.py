@@ -447,14 +447,11 @@ def operator_matrix(src: BlockIndex, tgt: BlockIndex, op):
 
 
 def _centered_int(coeff: KElement):
-    """Exact signed integer value of a scalar known to be an integer."""
-    if coeff.field.e != 1:
-        return None
-    v, u, n = coeff.coeff(0)
+    """Exact signed integer value of an element of K, or None unless its coefficient
+    of 1 is an integer known to the cap and those of pi, pi^2, ... are zeros there."""
+    (v, u, n), *rest = coeff._c
     p, cap = coeff.field.p, coeff.field.cap
-    if not u:
-        return 0 if n >= cap else None
-    if v < 0 or n < cap:
+    if n < cap or u and v < 0 or any(ui or ni < cap for _, ui, ni in rest):
         return None
     m = u * p ** v
     modulus = p ** n

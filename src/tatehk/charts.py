@@ -65,8 +65,8 @@ def _chart_d(degree: int, slot: int, a: int, b: int):
 
 
 def _times(c, k: int):
-    """c times the small integer k, with k = +-1 as c and -c."""
-    return c if k == 1 else -c if k == -1 else c * k
+    """c times the small integer k: c or -c at k = +-1, else c.scale(k)."""
+    return c if k == 1 else -c if k == -1 else c.scale(k)
 
 
 class _SparseForm:
@@ -129,15 +129,12 @@ class _SparseForm:
 
     def scale(self, c):
         """self times c: a K element, or a Q_p scalar converted once per form.
-        The int 1, (0, 1, cap), leaves a zero (n, 0, n) and a coefficient (v, u, n)
-        of relative precision n - v <= cap as they are: O(p^min(v + cap, n)) is
-        O(p^n), and u mod p^(n - v) is u. There scale(1) only drops prunable zeros."""
+        A factor 1 takes the full product too; UForm.mul and .frobenius skip it."""
         out = self._blank()
         fld, cs = self.field, self.coeffs
         if isinstance(c, KElement):
             cs = {k: v * c for k, v in cs.items()}
-        elif not (isinstance(c, int) and c == 1 and all(
-                n - v <= fld.cap for x in cs.values() for v, _, n in x._c)):
+        else:
             c = fld._scalar(c)
             cs = {k: fld._scaled(v._c, c) for k, v in cs.items()}
         out.coeffs = {k: v for k, v in cs.items() if not v.is_prunable_zero()}
@@ -240,7 +237,7 @@ class ChartElement(_SparseForm):
             a, b = _vw_exponents(self.kind, j, i)
             for tslot, k in _chart_d(self.degree, slot, a, b):
                 if k:
-                    out._accumulate(i, j, tslot, c * k)
+                    out._accumulate(i, j, tslot, _times(c, k))
         return out
 
     def frobenius(self) -> "ChartElement":
@@ -249,7 +246,7 @@ class ChartElement(_SparseForm):
         out = self._blank()
         factor = p ** self.degree
         for (i, j, slot), c in self.coeffs.items():
-            out._accumulate(p * i, p * j, slot, c * factor)
+            out._accumulate(p * i, p * j, slot, _times(c, factor))
         return out
 
     def restrict_nat(self) -> "ChartElement":
@@ -396,7 +393,7 @@ class FiberElement(_SparseForm):
         for (j, slot), c in self.coeffs.items():
             k = j if self.kind == XF else -j
             if k:
-                out._accumulate(j, 0, c.scale(k))
+                out._accumulate(j, 0, _times(c, k))
         return out
 
     def restrict_nat(self, point: KElement) -> "FiberElement":

@@ -148,7 +148,9 @@ class UForm:
         out.ucap_overflow = self.ucap_overflow or other.ucap_overflow
         for i, a in self.levels.items():
             for j, b in other.levels.items():
-                term = a.mul(b).scale(math.comb(i + j, i))
+                term = a.mul(b)
+                if i and j:  # else C(i + j, i) is 1
+                    term = term.scale(math.comb(i + j, i))
                 out._accumulate(i + j, term)
         return out
 
@@ -170,7 +172,8 @@ class UForm:
 
     def frobenius(self) -> "UForm":
         p = self.field.ctx.p
-        return self._map(lambda k, el: el.frobenius().scale(p ** k))
+        return self._map(lambda k, el: el.frobenius().scale(p ** k) if k
+                         else el.frobenius())
 
     def restrict_nat(self) -> "UForm":
         return self._map(lambda k, el: el.restrict_nat(), kind=W)

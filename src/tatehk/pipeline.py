@@ -19,16 +19,17 @@ import random
 import re
 from fractions import Fraction
 
-from .cech import (SLACK, BlockIndex, CechSpec, block_D, cech_frobenius, cech_N,
-                   cech_psi, cert_floor, class_e1, class_e2, dr_window_bound,
+from .cech import (SLACK, BlockIndex, CechSpec, _centered_int, block_D, cech_frobenius,
+                   cech_N, cech_psi, cert_floor, class_e1, class_e2, dr_window_bound,
                    express_all, h_ranks, is_cocycle, top_class, unit_class)
 from .charts import _CHART_SLOTS, ChartElement
+from .errors import AmbiguousSolve
 from .field import FieldDescriptor, k_teichmuller, parse_eisenstein
 from .kimhain import UForm
-from .linalg import PrecMatrix, kernel_basis, row_reduce
+from .linalg import PrecMatrix, int_kernel_sparse, row_reduce
 from .padic import PadicContext
 from .phin import (FilteredPhiNModule, branch_transition, embed_matrix,
-                   exp_unipotent, matrix_inverse, matrix_same_at, tate_object)
+                   exp_unipotent, matrix_inverse, matrix_same_at)
 from .plog import LogBranch, branch_from_spec
 
 # the package version: tatehk.__version__, and meta.version of every report
@@ -112,17 +113,19 @@ def fiber_one_form_lines(dr: CechSpec, classes, extra):
     one-forms of the cover glue to a cocycle exactly when the overlap
     component vanishes. They are solved in one class system with the
     degree-1 targets extra. Returns (independent coordinate vectors in the
-    given class basis, the coordinates of each extra target), certified at
-    cert_floor."""
+    given class basis, the coordinates of each extra target). The cocycles
+    are exact: D on the piece's Z columns has entries +-1, read with
+    _centered_int, and its kernel is taken over Z (int_kernel_sparse); the
+    lines are certified at cert_floor."""
     floor_pi = cert_floor(dr.field)
     idx1 = BlockIndex(dr, 1, [0], [0])
     mat, _ = block_D(idx1, BlockIndex(dr, 2, [0], [0]))
-    zcols = [k for k, key in enumerate(idx1.keys) if key[1] == "Z"]
-    sub = PrecMatrix(dr.field, mat.nrows, len(zcols),
-                     [{new: row[old] for new, old in enumerate(zcols) if old in row}
-                      for row in mat.rows])
-    kernel = [idx1.cochain({zcols[k]: v for k, v in vec.items()})
-              for vec in kernel_basis(sub, floor_pi)]
+    nz = sum(1 for key in idx1.keys if key[1] == "Z")  # the Z columns come first
+    rows = [{k: _centered_int(v) for k, v in row.items() if k < nz} for row in mat.rows]
+    if any(None in row.values() for row in rows):
+        raise AmbiguousSolve("the fiber's one-form differential is not an integer matrix")
+    kernel = [idx1.cochain({k: dr.field.from_int(m) for k, m in vec.items()})
+              for vec in int_kernel_sparse(rows, nz)]
     coords = [c for c, _ in express_all([*extra, *kernel], classes)]
     red = row_reduce(PrecMatrix.from_rows(dr.field, [
         c for c in coords[len(extra):] if not all(x.is_zero_at(floor_pi) for x in c)]))
@@ -192,12 +195,9 @@ def compute_tate(job: JobSpec) -> TateComputation:
 # -- report rendering ----------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    return x.expansion_str()
-
-
 def _fmt_matrix(m: PrecMatrix):
-    return [[_fmt(m.entry(i, j)) for j in range(m.ncols)] for i in range(m.nrows)]
+    return [[m.entry(i, j).expansion_str() for j in range(m.ncols)]
+            for i in range(m.nrows)]
 
 
 def render_report(comp: TateComputation) -> dict:
@@ -205,13 +205,10 @@ def render_report(comp: TateComputation) -> dict:
     field = comp.field
     floor_k = cert_floor(field)
     mod = comp.module
-    k0 = tate_object(field, 0)
-    km1 = tate_object(field, -1)
-    h0_phi_k = field.from_coeff(comp.h0_phi.coeff(0))
-    h2_phi_k = field.from_coeff(comp.h2_phi.coeff(0))
-    h0_ok = (h0_phi_k.same_at(k0.phi.entry(0, 0), floor_k)
+    # K(0) has Frobenius 1, and K(-1) has Frobenius p
+    h0_ok = (field.from_coeff(comp.h0_phi.coeff(0)).same_at(field.one(), floor_k)
              and comp.cocycle_cert["hk.unit"][0])
-    h2_ok = (h2_phi_k.same_at(km1.phi.entry(0, 0), floor_k)
+    h2_ok = (field.from_coeff(comp.h2_phi.coeff(0)).same_at(field.from_int(job.p), floor_k)
              and comp.h2_n.is_zero_at(cert_floor(comp.base)))
     report = {
         "spec": {
@@ -221,7 +218,7 @@ def render_report(comp: TateComputation) -> dict:
             "eisenstein": field.poly_str(),
             "ramification": field.e,
             "q_branch": comp.branch.label,
-            "lambda": _fmt(comp.lam),
+            "lambda": comp.lam.expansion_str(),
         },
         "windows": {"S": job.S, "T": job.T, "U": job.U},
         "classes": {
@@ -234,17 +231,17 @@ def render_report(comp: TateComputation) -> dict:
             "monodromy_ordp": _fmt_matrix(mod.n_ordp()),
             "psi": _fmt_matrix(comp.psi),
             "psi_inverse": _fmt_matrix(comp.psi_inv),
-            "h0_frobenius": _fmt(comp.h0_phi),
-            "h2_frobenius": _fmt(comp.h2_phi),
-            "h2_monodromy": _fmt(comp.h2_n),
-            "h0_psi": _fmt(comp.h0_psi),
-            "h2_psi": _fmt(comp.h2_psi),
+            "h0_frobenius": comp.h0_phi.expansion_str(),
+            "h2_frobenius": comp.h2_phi.expansion_str(),
+            "h2_monodromy": comp.h2_n.expansion_str(),
+            "h0_psi": comp.h0_psi.expansion_str(),
+            "h2_psi": comp.h2_psi.expansion_str(),
         },
         "filtration": {
             "jumps": {str(s): len(basis) for s, basis in mod.filtration.items()},
             "gr_dims": {str(s): d for s, d in mod.gr_dims().items()},
-            "f1_dr_coords": [[_fmt(v) for v in vec] for vec in comp.fil_dr],
-            "f1_hk_coords": [[_fmt(v) for v in vec] for vec in comp.fil_hk],
+            "f1_dr_coords": [[v.expansion_str() for v in vec] for vec in comp.fil_dr],
+            "f1_hk_coords": [[v.expansion_str() for v in vec] for vec in comp.fil_hk],
         },
         "identifications": {
             "h_ranks_hk": [comp.ranks_hk[d] for d in range(4)],
@@ -398,15 +395,10 @@ def _suite_branch_calculus(p, prec, r, eisenstein, seed, trials):
 def _suite_choice_of_pi(p, prec, r, eisenstein, seed, trials):
     """psi transitions between the branch points q in {pi, p, p(1+p), p^2(1+p)}."""
     specs = ["pi", "p", "p*(1+p)", "p^2*(1+p)"]
-    runs = {}
+    runs = {q: compute_tate(JobSpec(p, prec, r, eisenstein, q)) for q in specs}
     failures = []
     checks = 0
-    base_job = JobSpec(p, prec, r, eisenstein, "pi")
-    floor = cert_floor(base_job.field)
-    for qspec in specs:
-        job = JobSpec(p, prec, r, eisenstein, qspec,
-                      base_job.S, base_job.T, base_job.U)
-        runs[qspec] = compute_tate(job)
+    floor = cert_floor(runs["pi"].field)
     for qa in specs:
         for qb in specs:
             if qa == qb:

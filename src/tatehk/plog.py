@@ -143,7 +143,7 @@ def log_unit(u: KElement) -> KElement:
 class LogBranch:
     """The branch of log on K^* with log(q) = 0, for q in the maximal ideal."""
 
-    __slots__ = ("field", "q", "label", "m", "_log_pi")
+    __slots__ = ("field", "q", "_label", "m", "_log_pi")
 
     def __init__(self, field: FieldDescriptor, q: KElement, label: str | None = None):
         if q.field != field:
@@ -155,9 +155,16 @@ class LogBranch:
             raise ValueError(f"branch point must lie in the maximal ideal, ord_pi(q) = {m}")
         self.field = field
         self.q = q
-        self.label = label if label is not None else q.expansion_str()
+        self._label = label
         self.m = m
         self._log_pi = None
+
+    @property
+    def label(self) -> str:
+        """The given text, or else q's expansion, rendered on first read."""
+        if self._label is None:
+            self._label = self.q.expansion_str()
+        return self._label
 
     def log_pi(self) -> KElement:
         """log_q(pi) = -log(v)/m where q = pi^m * v."""

@@ -721,3 +721,43 @@ def test_dr_residual_is_certified_at_the_floor():
     coords, _ = express_in_classes(target, [class_e1(spec), class_e2(spec)])
     assert (coords[0] - FLOOR_FIELD.one()).is_zero_at(floor)
     assert coords[1].is_zero_at(floor)
+
+
+def test_dr_classes_dependent_modulo_coboundaries_are_refused():
+    """e1 and e1 + D(x) are one class, so e1 has no canonical coordinates in
+    them: the dr solve raises AmbiguousSolve, as the hk solve does."""
+    fld = FLOOR_FIELD
+    spec = CechSpec(2, "dr", fld, S=8, T=8, U=0, point=fld.pi())
+    x = BlockIndex(spec, 0, {0}, {0}).basis_cochain((0, "Z", 1, 0, 0, 0))
+    e1 = class_e1(spec)
+    with pytest.raises(AmbiguousSolve):
+        express_in_classes(e1, [e1, e1 + cech_D(x)])
+
+
+# -- exact integers over K ------------------------------------------------------
+
+
+def test_centered_int_reads_integers_over_a_ramified_field():
+    """Over s^2 - 5, 1, -1, 0 and 7 read as integers; pi, 1 + pi and an
+    element whose pi-coefficient is zero only below the cap do not."""
+    one = RAM.one()
+    assert [cech._centered_int(x) for x in (one, -one, RAM.zero(), RAM.from_int(7))] \
+        == [1, -1, 0, 7]
+    low_zero = KElement(RAM, (PadicScalar.from_int(RCTX, 1),
+                              PadicScalar.zero(RCTX, RCTX.prec - 2)))
+    for x in (RAM.pi(), one + RAM.pi(), low_zero):
+        assert cech._centered_int(x) is None
+
+
+@pytest.mark.parametrize("field", [FieldDescriptor.base(RCTX), RAM], ids=["Q5", "s^2-5"])
+def test_dr_piece_differential_reads_as_integers(field):
+    """The premise of the exact fiber kernel (pipeline.fiber_one_form_lines):
+    on the dr piece, D from degree 1 to 2 reads as integers in {-1, 1} (zero
+    at r = 1), and the Z columns come before the W columns."""
+    for r in (1, 2, 3):
+        spec = CechSpec(r, "dr", field, S=8, T=8, U=0, point=field.pi())
+        idx1 = BlockIndex(spec, 1, [0], [0])
+        D, _ = cech.block_D(idx1, BlockIndex(spec, 2, [0], [0]))
+        assert [key[1] for key in idx1.keys] == ["Z"] * r + ["W"] * r
+        values = {cech._centered_int(v) for row in D.rows for v in row.values()}
+        assert values == (set() if r == 1 else {-1, 1})

@@ -180,3 +180,22 @@ def test_psi_evaluate_is_multiplicative():
         lhs = f.mul(g).evaluate(lam, a, RAM)
         rhs = f.evaluate(lam, a, RAM).mul(g.evaluate(lam, a, RAM), a)
         assert (lhs - rhs).is_zero_at(2 * CAP - 8)
+
+
+def test_a_kim_hain_trial_never_scales_by_one(monkeypatch):
+    """UForm.mul scales by C(i + j, i) and UForm.frobenius by p^k only when
+    the factor is not 1: a kim_hain_algebra trial scales forms, but never by
+    the int 1."""
+    from tatehk.charts import _SparseForm
+    from tatehk.pipeline import verify_suite
+    factors = []
+    scale = _SparseForm.scale
+
+    def recorded(self, c):
+        factors.append(c)
+        return scale(self, c)
+
+    monkeypatch.setattr(_SparseForm, "scale", recorded)
+    verify_suite("kim_hain_algebra", p=3, prec=14, r=2, seed=1, trials=1)
+    assert factors
+    assert not any(isinstance(c, int) and c == 1 for c in factors)

@@ -219,3 +219,14 @@ def test_identity_suites_compute_each_shared_subterm_once(monkeypatch):
         verify_suite("branch_calculus", p=5, prec=20, eisenstein="s^2 - 5",
                      seed=seed, trials=3)
         assert calls == {"mul": 3 * 9, "log": 3 * 8}
+
+
+def test_fiber_kernel_refuses_a_differential_that_is_not_integer(monkeypatch):
+    """The fiber's one-form kernel is taken over Z only when every entry of
+    D on the Z columns reads as an integer; otherwise AmbiguousSolve, never
+    a kernel with the unread entries taken as zero."""
+    import tatehk.pipeline as pipeline
+    from tatehk.errors import AmbiguousSolve
+    monkeypatch.setattr(pipeline, "_centered_int", lambda coeff: None)
+    with pytest.raises(AmbiguousSolve, match="not an integer matrix"):
+        compute_tate(JobSpec(5, 20, 2, "s^2 - 5"))

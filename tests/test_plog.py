@@ -413,3 +413,22 @@ def test_a_second_log_with_the_same_key_plans_nothing(monkeypatch):
         count[0] = 0
         log_one_unit(fld.one() + fld.pi() * 11)
         assert count[0] == 0
+
+
+def test_a_branch_renders_its_label_on_first_read(monkeypatch):
+    """Building a branch renders no expansion; .label is then q's expansion,
+    and a given text is kept as it is."""
+    render = KElement.expansion_str
+    calls = []
+
+    def counted(self, *args):
+        calls.append(self)
+        return render(self, *args)
+
+    monkeypatch.setattr(KElement, "expansion_str", counted)
+    fld = parse_eisenstein("s^2 - 5", PadicContext(5, 12))
+    q = fld.pi() ** 3 * (fld.one() + fld.pi())
+    branch = LogBranch(fld, q)
+    assert calls == []
+    assert branch.label == render(q)
+    assert branch_from_spec(fld, "p*(1+p)").label == "p*(1+p)"
