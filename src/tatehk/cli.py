@@ -9,6 +9,11 @@ Subcommands:
 Exit codes: 0 on success, 1 when a certificate fails (or reports differ,
 or a suite fails, or the reader closes standard output early), 2 on usage
 errors.
+
+Each _cmd_* checks only its input, every job of every suite included, and
+returns the work as a closure; main alone turns a ValueError, OSError or
+RecursionError (JSON nested too deep) from those checks into exit 2 and one
+line `hk <command>: <message>`.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from .errors import CertificationError
 from .field import FieldDescriptor, parse_eisenstein, parse_element
@@ -86,109 +92,90 @@ def _check_out_path(path: str):
         raise ValueError(f"--out {path} is not writable")
 
 
-def _cmd_tate(args) -> int:
-    try:
-        job = JobSpec(args.p, args.prec, args.r, args.eisenstein, args.q,
-                      args.S, args.T, args.U)
-        if args.out:
-            _check_out_path(args.out)
-    except ValueError as err:
-        print(f"hk tate: {err}", file=sys.stderr)
-        return 2
-    report = run_tate_job(job, suites=args.suite)
-    text = json.dumps(report, indent=2, sort_keys=True)
+def _cmd_tate(args):
+    job = JobSpec(args.p, args.prec, args.r, args.eisenstein, args.q,
+                  args.S, args.T, args.U)
+    for name in args.suite:
+        check_suite_args(name, args.p, args.prec, args.r, args.eisenstein)
     if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as err:
-            print(f"hk tate: {err}", file=sys.stderr)
-            return 2
-        print(f"wrote {args.out}")
-    else:
-        print(text)
-    for result in report["suites"].values():
-        if not result["ok"]:
-            return 1
-    return 0
+        _check_out_path(args.out)
+
+    def work() -> int:
+        report = run_tate_job(job, suites=args.suite)
+        text = json.dumps(report, indent=2, sort_keys=True)
+        if args.out:
+            try:
+                Path(args.out).write_text(text + "\n")
+            except OSError as err:
+                print(f"hk tate: {err}", file=sys.stderr)
+                return 2
+            print(f"wrote {args.out}")
+        else:
+            print(text)
+        return 0 if all(res["ok"] for res in report["suites"].values()) else 1
+    return work
 
 
-def _cmd_log(args) -> int:
-    try:
-        ctx = PadicContext(args.p, args.prec)
-        field = parse_eisenstein(args.field, ctx) if args.field \
-            else FieldDescriptor.base(ctx)
-        branch = branch_from_spec(field, args.q)
-        x = parse_element(args.value, field) if args.value else None
-        if x is not None and x.ord_pi_or_none() is None:
-            raise ValueError("--eval value is zero at the working precision")
-    except ValueError as err:
-        print(f"hk log: {err}", file=sys.stderr)
-        return 2
-    out = {
-        "field": field.poly_str(),
-        "branch": branch.label,
-        "log_q(pi)": branch.log_pi().expansion_str(),
-    }
-    if x is not None:
-        out["value"] = x.expansion_str()
-        out["log"] = branch.log(x).expansion_str()
-    print(json.dumps(out, indent=2, sort_keys=True))
-    return 0
+def _cmd_log(args):
+    ctx = PadicContext(args.p, args.prec)
+    field = parse_eisenstein(args.field, ctx) if args.field else FieldDescriptor.base(ctx)
+    branch = branch_from_spec(field, args.q)
+    x = parse_element(args.value, field) if args.value else None
+    if x is not None and x.ord_pi_or_none() is None:
+        raise ValueError("--eval value is zero at the working precision")
+
+    def work() -> int:
+        out = {"field": field.poly_str(), "branch": branch.label,
+               "log_q(pi)": branch.log_pi().expansion_str()}
+        if x is not None:
+            out["value"] = x.expansion_str()
+            out["log"] = branch.log(x).expansion_str()
+        print(json.dumps(out, indent=2, sort_keys=True))
+        return 0
+    return work
 
 
-def _cmd_verify(args) -> int:
-    try:
-        check_suite_args(args.p, args.prec, args.r, args.eisenstein, args.trials)
-    except ValueError as err:
-        print(f"hk verify: {err}", file=sys.stderr)
-        return 2
+def _cmd_verify(args):
     names = suite_names() if args.suite == "all" else [args.suite]
-    results = {}
-    ok = True
     for name in names:
-        result = verify_suite(name, p=args.p, prec=args.prec, r=args.r,
-                              eisenstein=args.eisenstein, seed=args.seed,
-                              trials=args.trials)
-        results[name] = result
-        ok = ok and result["ok"]
-    print(json.dumps(results, indent=2, sort_keys=True))
-    return 0 if ok else 1
+        check_suite_args(name, args.p, args.prec, args.r, args.eisenstein, args.trials)
+
+    def work() -> int:
+        results = {name: verify_suite(name, args.p, args.prec, args.r, args.eisenstein,
+                                      args.seed, args.trials) for name in names}
+        print(json.dumps(results, indent=2, sort_keys=True))
+        return 0 if all(res["ok"] for res in results.values()) else 1
+    return work
 
 
-def _cmd_report_diff(args) -> int:
-    try:
-        with open(args.report_a) as fh:
-            a = json.load(fh)
-        with open(args.report_b) as fh:
-            b = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        print(f"hk report-diff: {err}", file=sys.stderr)
-        return 2
-    diffs = report_diff(a, b)
-    print(json.dumps(diffs, indent=2, sort_keys=True))
-    return 0 if not diffs else 1
+def _cmd_report_diff(args):
+    a, b = (json.loads(Path(f).read_text()) for f in (args.report_a, args.report_b))
+
+    def work() -> int:
+        diffs = report_diff(a, b)
+        print(json.dumps(diffs, indent=2, sort_keys=True))
+        return 0 if not diffs else 1
+    return work
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handler = {
-        "tate": _cmd_tate,
-        "log": _cmd_log,
-        "verify": _cmd_verify,
-        "report-diff": _cmd_report_diff,
-    }[args.command]
+    args = _build_parser().parse_args(argv)
+    command = {"tate": _cmd_tate, "log": _cmd_log, "verify": _cmd_verify,
+               "report-diff": _cmd_report_diff}[args.command]
     try:
-        code = handler(args)
+        work = command(args)   # input checks only: no work has started
+    except (ValueError, OSError, RecursionError) as err:
+        print(f"hk {args.command}: {err}", file=sys.stderr)
+        return 2
+    try:
+        code = work()
         sys.stdout.flush()
     except CertificationError as err:
         print(f"hk {args.command}: certification failure: {err}", file=sys.stderr)
         return 1
     except BrokenPipeError:
-        # the reader closed the pipe (hk tate | head): stop without a
-        # traceback, and send what is left to devnull so that the flush at
-        # exit cannot raise again
+        # the reader closed the pipe (hk tate | head): stop without a traceback,
+        # and send the rest to devnull so that the flush at exit cannot raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return code

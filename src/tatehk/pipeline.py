@@ -81,9 +81,10 @@ class JobSpec:
                              "block off weight 0 is not certified acyclic")
         self.branch = branch_from_spec(self.field, q)
 
-    def resized(self, S, T, U) -> "JobSpec":
+    def widened(self) -> "JobSpec":
+        """This job at windows S + 4, T + 4, U + 1: the truncation suite's."""
         return JobSpec(self.p, self.prec, self.r, self.eisenstein, self.q,
-                       S, T, U)
+                       self.S + 4, self.T + 4, self.U + 1)
 
 
 class TateComputation:
@@ -267,6 +268,10 @@ def render_report(comp: TateComputation) -> dict:
 
 
 def run_tate_job(job: JobSpec, suites=()) -> dict:
+    """The report of job with the named suites run at its p, prec, r and
+    field; every suite is checked (check_suite_args) before the job runs."""
+    for name in suites:
+        check_suite_args(name, job.p, job.prec, job.r, job.eisenstein)
     report = render_report(compute_tate(job))
     for name in suites:
         report["suites"][name] = verify_suite(name, p=job.p, prec=job.prec,
@@ -445,7 +450,7 @@ def _suite_base_change(p, prec, r, eisenstein, seed, trials):
 def _suite_truncation_stability(p, prec, r, eisenstein, seed, trials):
     job = JobSpec(p, prec, r, eisenstein, "p")
     comp = compute_tate(job)
-    wide = compute_tate(job.resized(job.S + 4, job.T + 4, job.U + 1))
+    wide = compute_tate(job.widened())
     failures = []
     checks = 5
     for name in ("phi", "n_pi", "psi"):
@@ -479,20 +484,27 @@ def verify_suite(name: str, p: int = 3, prec: int = 14, r: int = 2,
                  trials: int | None = None) -> dict:
     """Run one verification suite; trials=None keeps the suite's default.
 
-    Bad parameters raise ValueError before the suite starts."""
-    if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {suite_names()}")
-    check_suite_args(p, prec, r, eisenstein, trials)
+    A bad name or parameters raise ValueError before it starts."""
+    check_suite_args(name, p, prec, r, eisenstein, trials)
     return _SUITES[name](p, prec, r, eisenstein, seed, trials)
 
 
-def check_suite_args(p: int, prec: int, r: int, eisenstein: str | None = None,
-                     trials: int | None = None):
-    """ValueError unless the suite parameters pass the input checks of a
-    JobSpec and trials is None or at least 1."""
+def check_suite_args(name: str, p: int, prec: int, r: int,
+                     eisenstein: str | None = None, trials: int | None = None):
+    """ValueError unless name is a suite, trials is None or >= 1, and every
+    job the suite builds passes the JobSpec checks. JobSpec(p, prec, r,
+    eisenstein) stands for those at the default windows, as T's bound rests
+    on p and prec alone; the truncation suite's widened job is built too."""
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {suite_names()}")
     if trials is not None and trials < 1:
         raise ValueError("need trials >= 1")
-    JobSpec(p, prec, r, eisenstein)
+    job = JobSpec(p, prec, r, eisenstein)
+    if name == "truncation_stability":
+        try:
+            job.widened()
+        except ValueError as err:
+            raise ValueError(f"suite {name}: {err}") from None
 
 
 # -- report comparison ---------------------------------------------------------

@@ -236,3 +236,55 @@ def test_tate_into_a_closed_pipe_exits_without_traceback():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 1
     assert err == ""
+
+
+def _no_work(job):
+    raise AssertionError("compute_tate ran before the input was checked")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--p", "2", "--prec", "8", "--r", "1"],
+    ["verify", "--p", "2", "--prec", "8", "--r", "1",
+     "--suite", "truncation_stability"],
+    ["tate", "--p", "2", "--prec", "8", "--r", "1",
+     "--suite", "truncation_stability"],
+])
+def test_a_suite_job_past_the_window_bound_exits_two_before_work(
+        argv, capsys, monkeypatch):
+    # the truncation suite also runs its job at windows S + 4, T + 4, U + 1;
+    # at p = 2, prec 8 that T = 10 reaches the bound 2^(8 - 5) = 8, and the
+    # widened job is checked with the others before any job runs
+    import tatehk.pipeline as pipeline
+
+    monkeypatch.setattr(pipeline, "compute_tate", _no_work)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "truncation_stability" in err
+
+
+def test_a_suite_with_no_widened_job_runs_at_p_two_prec_eight(capsys):
+    code = main(["verify", "--p", "2", "--prec", "8", "--r", "1",
+                 "--suite", "branch_calculus"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["branch_calculus"]["ok"] is True
+
+
+def test_run_tate_job_checks_its_suites_before_the_job(monkeypatch):
+    import tatehk.pipeline as pipeline
+
+    monkeypatch.setattr(pipeline, "compute_tate", _no_work)
+    with pytest.raises(ValueError, match="truncation_stability"):
+        pipeline.run_tate_job(pipeline.JobSpec(2, 8, 1),
+                              suites=["truncation_stability"])
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe\x00{", b"[" * 100000],
+                         ids=["not utf-8", "nested too deep"])
+def test_report_diff_of_an_unreadable_report_exits_two(content, tmp_path, capsys):
+    # bytes that are not UTF-8, and JSON nested past the recursion limit,
+    # are input errors like a missing file or text that is not JSON
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    err = _exits_two_with_one_line(["report-diff", str(bad), str(bad)], capsys)
+    assert "hk report-diff: " in err

@@ -59,6 +59,23 @@ MUTANTS = (
      "if any(None in row.values() for row in rows):", "if False:"),
     ("_times as a product in K", "src/tatehk/charts.py",
      "-c if k == -1 else c.scale(k)", "-c if k == -1 else c * k"),
+    ("JobSpec window check T > bound", "src/tatehk/pipeline.py",
+     "if self.T >= bound:", "if self.T > bound:"),
+    ("dr premise T > step", "src/tatehk/cech.py",
+     "if spec.T >= step:", "if spec.T > step:"),
+    ("suite check without the widened job", "src/tatehk/pipeline.py",
+     'if name == "truncation_stability":', "if False:"),
+    ("run_tate_job checks its suites after the job", "src/tatehk/pipeline.py",
+     "    for name in suites:\n        check_suite_args(name, job.p, job.prec, job.r, "
+     "job.eisenstein)\n    report = render_report(compute_tate(job))\n",
+     "    report = render_report(compute_tate(job))\n    for name in suites:\n"
+     "        check_suite_args(name, job.p, job.prec, job.r, job.eisenstein)\n"),
+    ("tate leaves its suites to the work", "src/tatehk/cli.py",
+     "    for name in args.suite:\n        check_suite_args(", "    for name in ():\n"
+     "        check_suite_args("),
+    ("verify leaves its suites to the work", "src/tatehk/cli.py",
+     "    for name in names:\n        check_suite_args(", "    for name in ():\n"
+     "        check_suite_args("),
 )
 
 
