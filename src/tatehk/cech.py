@@ -47,16 +47,16 @@ and BlockIndex.cochain writes coordinates back (basis_cochain included).
 
 On the hk side every structure constant of D is a small integer, so its
 matrix between two block bases is a fixed stencil: hk_D_rows writes it
-straight from the basis keys, for the exact integer echelons (one per
-block: its pivots give the rank, its back-substitution the kernel).
-operator_int_rows, which is operator_matrix (cech_D applied to every
-basis cochain) read as integers, is kept as the oracle the stencil is
-tested against. block_D builds D (stencil or operator_matrix) once per
-spec and block, for h_ranks, the class systems and the fiber lines. All
-targets of one degree share one class system, a column each: on hk one
-exact echelon of [stencil | classes | targets] over Q, so coordinates and
-witnesses are exact rationals; on dr one elimination over the scalars,
-each residual certified at cert_floor(field) = e * (prec - SLACK).
+straight from the basis keys, for exact integer elimination (int_rank_sparse
+counts the ranks of the piece, and the echelon of a class system gives its
+coordinates and witnesses). operator_int_rows, which is operator_matrix
+(cech_D applied to every basis cochain) read as integers, is kept as the
+oracle the stencil is tested against. block_D builds D (stencil or
+operator_matrix) once per spec and block, for h_ranks, the class systems
+and the fiber lines. All targets of one degree share one class system, a
+column each: on hk one exact echelon of [stencil | classes | targets] over
+Q, so coordinates and witnesses are exact rationals; on dr one elimination
+over the scalars, each residual certified at cert_floor(field).
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ from .errors import (AmbiguousPivot, AmbiguousSolve, ChartMismatch,
                      NotACoboundary, NotInSpan, TaintedWindow)
 from .field import FieldDescriptor, KElement
 from .kimhain import U_TAIL, UForm
-from .linalg import (PrecMatrix, _back_substitute, _echelon_kernel,
-                     _solve_echelon, _touching, int_echelon, rank_at)
+from .linalg import (PrecMatrix, _back_substitute, _solve_echelon, _touching,
+                     int_echelon, int_rank_sparse, rank_at)
 
 # certificate floors sit SLACK digits under the working precision
 SLACK = 5
@@ -121,9 +121,6 @@ class CechSpec:
             return False
         return self.point is other.point or self.side == "hk" or \
             (self.point - other.point).is_zero()
-
-    def resized(self, S: int, T: int, U: int) -> "CechSpec":
-        return CechSpec(self.r, self.side, self.field, S, T, U, self.point)
 
     # -- element factories -------------------------------------------------
 
@@ -549,62 +546,20 @@ def block_D(src: BlockIndex, tgt: BlockIndex):
 
 def _block_h_direct(spec: CechSpec, wt: int, levels=None):
     """Naive per-weight ranks of the truncated complex (one weight block,
-    or in weight 0 its sub-block of the given s-exponents).
-
-    On the hk side the echelon of each D_d (int_echelon, keyed by degree)
-    is returned too, so that the kernels are read off it."""
+    or in weight 0 its sub-block of the given s-exponents): the dims less
+    the ranks of D, counted exactly by int_rank_sparse on the hk stencil and
+    by rank_at at cert_floor on dr. Returns (h, idx, tainted)."""
     idx = {d: BlockIndex(spec, d, [wt], levels) for d in range(4)}
     dims = {d: len(idx[d]) for d in range(4)}
-    ranks = {}
-    echelons = {}
-    tainted = False
+    ranks, tainted = dict.fromkeys(range(-1, 4), 0), False
     for d in range(3):
-        if not dims[d] or not dims[d + 1]:
-            ranks[d] = 0
-            continue
-        D, t = block_D(idx[d], idx[d + 1])
-        if spec.side == "hk":
-            echelons[d] = int_echelon(D, dims[d])
-            ranks[d] = len(echelons[d])
-        else:
-            ranks[d] = rank_at(D, cert_floor(spec.field))
-        tainted = tainted or t
-    h = {
-        0: dims[0] - ranks[0],
-        1: dims[1] - ranks[1] - ranks[0],
-        2: dims[2] - ranks[2] - ranks[1],
-        3: dims[3] - ranks[2],
-    }
-    return h, idx, echelons, tainted
-
-
-def _block_h_stable(spec: CechSpec, wt: int, degree: int, idx, echelons) -> int:
-    """Rank of H_degree(window) -> H_degree(window with two more u-levels).
-
-    The u-cap cuts a genuine subcomplex (the differential lowers u-order),
-    so classes that only exist because their primitive would need u-orders
-    beyond the cap die in the enlarged complex; two extra levels cover the
-    longest exactness cascade through the two-column cover. The surviving
-    rank is the stable estimate: the pivots of the echelon of [B | Z] at
-    the kernel columns, B the enlarged coboundaries and Z the kernel of
-    D_degree read off the window's echelon (D_degree = 0 when absent)."""
-    kernel = _echelon_kernel(echelons.get(degree, {}), len(idx[degree]))
-    if not kernel:
-        return 0
-    big = spec.resized(spec.S, spec.T, spec.U + 2)
-    levels = idx[degree].levels
-    tgt = BlockIndex(big, degree, [wt], levels)
-    nb = 0
-    if degree > 0:
-        src = BlockIndex(big, degree - 1, [wt], levels)
-        rows, _ = hk_D_rows(src, tgt)
-        nb = len(src)
-    else:
-        rows = [{} for _ in range(len(tgt))]
-    for t, vec in enumerate(kernel):
-        for pos, val in vec.items():
-            rows[tgt.pos[idx[degree].keys[pos]]][nb + t] = val
-    return sum(1 for c in int_echelon(rows, nb + len(kernel)) if c >= nb)
+        if dims[d] and dims[d + 1]:
+            D, t = block_D(idx[d], idx[d + 1])
+            ranks[d] = int_rank_sparse(D, dims[d]) if spec.side == "hk" \
+                else rank_at(D, cert_floor(spec.field))
+            tainted = tainted or t
+    h = {d: dims[d] - ranks[d] - ranks[d - 1] for d in range(4)}
+    return h, idx, tainted
 
 
 def dr_window_bound(p: int, floor_pi: int, e: int) -> int:
@@ -628,24 +583,48 @@ def _check_acyclic_off_piece(spec: CechSpec, floor_pi: int):
 
 
 def h_ranks(spec: CechSpec):
-    """Cohomology rank estimate of the truncated complex, per degree.
+    """Cohomology ranks of the truncated complex, per degree.
 
-    Eliminates only the piece that carries cohomology (module docstring),
-    once the premise that every block off it is acyclic holds. Its naive
-    ranks are refined to the rank surviving two more u-levels, which removes
-    the u-cap boundary artifacts on the hk side. Returns (ranks, tainted);
-    tainted reports window overflow inside the piece when it has
-    cohomology. dr ranks are certified at cert_floor."""
+    Eliminates the piece P_U alone (module docstring), once every block off
+    it is certified acyclic, for its naive ranks n_d = dim H^d(P_U). Returns
+    (ranks, tainted), tainted if the window overflowed in a piece with
+    cohomology. dr ranks are n, certified at cert_floor; hk ranks, h_d =
+    rank(H^d(P_U) -> H^d(P_U+2)), drop the u-cap's artifacts.
+
+    Lemma. On the hk piece h_d = n_d - h_(d-1) (h_(-1) = 0), so no second
+    elimination is needed: h = (1, 2, 1, 0) for U >= 1 (n = (1, 3, 3, 1)),
+    (1, 1, 1, 0) for U = 0.
+
+    Proof. As (a, b) = (0, 0), the chart d vanishes: D is the overlap map
+    delta plus the u-tail -sig^ (x) del on L (x) <u^[0..U]>, where L =
+    Lambda(dlog v, dlog w), sig = dlog v + dlog w, om = dlog w and del u^[k]
+    = u^[k-1] (kimhain.U_TAIL). nat is 1 on L and the twist is g = 1 + eps,
+    eps x = sig ^ (d/d om)x (charts._TWIST_SLOTS); both fix u. Let K_U = H(L
+    (x) <u^[0..U]>, -sig^ (x) del). With the W-parts as subcomplex and the
+    Z-parts as quotient, the connecting map is delta on K_U, the r-cycle
+    with monodromy g^r = 1 + r eps, so
+        0 -> H^1(K_U^(d-1)) -> H^d(P_U) -> H^0(K_U^d) -> 0,
+    H^0 = ker eps and H^1 = coker eps of equal dims. For U >= 1, K_U = L(om)
+    u^[0] + sig L(om) u^[U] and eps = 0 on it (eps(om u^[0]) = sig u^[0] is
+    the u-tail of -u^[1]): dims (1, 2, 1, 0). For U = 0, K_0 = L, ker eps =
+    <1, sig, sig om>, coker eps = L/<sig>: dims (1, 1, 1, 0). P_U -> P_U+2
+    maps the sequences to each other; on K it kills sig L u^[U] (sig y u^[U]
+    is the u-tail of -y u^[U+1]) and maps onto L(om) u^[0] = L/sig L, where
+    eps = 0. A class dying in H^0(K_U+2) has, up to a coboundary of P_U,
+    Z-part sig y u^[U] on every chart: the Z-part of D(c), c = -y u^[U+1],
+    whose W-part +-eps(c) is the u-tail of +-(d/d om)y u^[U+2]. So the class
+    maps into the image of its W-part, and the rank is that on H^1 plus that
+    on H^0: dim L(om)^(d-1) + dim L(om)^d = (1, 2, 1, 0) for U >= 1; for U =
+    0, (0, 1, 1, 0) + (1, 0, 0, 0), as coker eps maps onto L/sig L and ker
+    eps onto <1>. So h_d = dim H^0(K_U^d) = dim H^1(K_U^d), and n_d =
+    h_(d-1) + h_d.
+    """
     _check_acyclic_off_piece(spec, cert_floor(spec.field))
-    h, idx, echelons, tainted = _block_h_direct(spec, 0, [0])
-    out = {d: 0 for d in range(4)}
-    if not any(h.values()):
-        return out, False
-    for d in range(4):
-        if h[d]:
-            out[d] = _block_h_stable(spec, 0, d, idx, echelons) \
-                if spec.side == "hk" else h[d]
-    return out, tainted
+    h, _, tainted = _block_h_direct(spec, 0, [0])
+    if spec.side == "hk":
+        for d in (1, 2, 3):
+            h[d] -= h[d - 1]
+    return h, tainted and any(h.values())
 
 
 # -- certified class arithmetic ------------------------------------------------

@@ -30,13 +30,33 @@ def vp(n: int, p: int) -> int:
     return v
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Primality of n < PRIME_BOUND by Miller-Rabin to the 13 _WITNESSES, which
+    is exact there: PRIME_BOUND is the least odd composite passing them all
+    (OEIS A014233)."""
+    if n <= _WITNESSES[-1]:
+        return n in _WITNESSES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # n is a strong probable prime to base a: a^d = 1 or a^(d 2^i) = -1, i < s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(s))
+               for a in _WITNESSES)
+
+
 class PadicContext:
     """Shared prime and default absolute precision cap."""
 
     __slots__ = ("p", "prec")
 
     def __init__(self, p: int, prec: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if p >= PRIME_BOUND:
+            raise ValueError(f"p must be below the primality bound {PRIME_BOUND}")
+        if not _is_prime(p):
             raise ValueError("p must be prime")
         if prec < 1:
             raise ValueError("prec must be positive")

@@ -13,8 +13,7 @@ from tatehk.cech import (SLACK, BlockIndex, CechCochain, CechSpec, cech_D,
                          cochain_blocks, express_in_classes, h_ranks,
                          hk_D_rows, operator_int_rows, operator_matrix,
                          top_class, unit_class, _block_h_direct,
-                         _block_h_stable, _hk_solve, _hk_system,
-                         _solve_indices)
+                         _hk_solve, _hk_system, _solve_indices)
 from tatehk.errors import (AmbiguousPivot, AmbiguousSolve, ChartMismatch,
                            NotACoboundary, NotInSpan, TaintedWindow)
 from tatehk.field import FieldDescriptor, KElement, parse_eisenstein
@@ -199,19 +198,26 @@ def test_h_ranks():
         assert not tainted
 
 
+def alternating_sums(h):
+    """h_d - h_(d-1) + h_(d-2) - ... for each degree d of naive ranks h."""
+    out = dict(h)
+    for d in (1, 2, 3):
+        out[d] -= out[d - 1]
+    return out
+
+
 def h_ranks_over_all_blocks(spec):
     """The rank estimate summed over every weight block, each eliminated
     whole: the computation h_ranks reduces to one piece."""
     out, tainted = {d: 0 for d in range(4)}, False
     for wt in range(-spec.T, spec.T + 1):
-        h, idx, echelons, t = _block_h_direct(spec, wt)
+        h, idx, t = _block_h_direct(spec, wt)
         if not any(h.values()):
             continue
         tainted = tainted or t
+        stable = alternating_sums(h) if spec.side == "hk" else h
         for d in range(4):
-            if h[d]:
-                out[d] += _block_h_stable(spec, wt, d, idx, echelons) \
-                    if spec.side == "hk" else h[d]
+            out[d] += stable[d]
     return out, tainted
 
 
@@ -229,7 +235,7 @@ def test_cohomology_lives_on_one_piece():
     for spec in hk + dr:
         levels = range(spec.S + 1) if spec.side == "hk" else (0,)
         for wt in range(-spec.T, spec.T + 1):
-            whole, idx, _, _ = _block_h_direct(spec, wt)
+            whole, idx, _ = _block_h_direct(spec, wt)
             if wt:
                 # levels split weight 0 only: D mixes i elsewhere
                 assert [idx[d].keys for d in range(4)] == \
@@ -238,7 +244,7 @@ def test_cohomology_lives_on_one_piece():
                 continue
             total = {d: 0 for d in range(4)}
             for i in levels:
-                h, _, _, _ = _block_h_direct(spec, 0, [i])
+                h, _, _ = _block_h_direct(spec, 0, [i])
                 assert i == 0 or not any(h.values()), (spec.side, spec.r, i)
                 total = {d: total[d] + h[d] for d in range(4)}
             assert total == whole
@@ -367,16 +373,18 @@ def fraction_rank_kernel(rows, ncols):
 
 
 def test_block_stable_rank_matches_fraction_oracle():
-    """Per weight block and degree, the stable rank read off one echelon of
-    [B | Z] is rank([B | Z]) - rank(B): B the coboundaries of the window with
-    two more u-levels, Z the kernel of D in the window, both from
-    operator_int_rows and eliminated over Q with Fractions."""
+    """Per weight block and degree, the stable rank, the alternating sum of
+    the naive ranks (lemma of h_ranks), is rank([B | Z]) - rank(B): B the
+    coboundaries of the window with two more u-levels, Z the kernel of D in
+    the window, both from operator_int_rows and eliminated over Q with
+    Fractions."""
     for r in (1, 2):
         spec = hk_spec(r, S=3, T=3, U=2)
-        big = spec.resized(3, 3, 4)
+        big = hk_spec(r, S=3, T=3, U=4)
         seen_nonzero = 0
         for wt in range(-spec.T, spec.T + 1):
-            _, idx, echelons, _ = _block_h_direct(spec, wt)
+            naive, idx, _ = _block_h_direct(spec, wt)
+            stable = alternating_sums(naive)
             for d in range(4):
                 dim = len(idx[d])
                 if not dim:
@@ -398,10 +406,50 @@ def test_block_stable_rank_matches_fraction_oracle():
                     for k, v in vec.items():
                         rows[tgt.pos[idx[d].keys[k]]][nb + t] = v
                 rank_bz, _ = fraction_rank_kernel(rows, nb + len(kernel))
-                got = _block_h_stable(spec, wt, d, idx, echelons)
+                got = stable[d]
                 assert got == rank_bz - rank_b, (r, wt, d)
                 seen_nonzero += got > 0
         assert seen_nonzero
+
+
+def piece_stable_rank_oracle(spec, d):
+    """rank(H^d(piece) -> H^d(piece with two more u-levels)) as rank([B | Z])
+    - rank(B), B and Z from operator_int_rows, eliminated with Fractions."""
+    big = CechSpec(spec.r, "hk", spec.field, S=spec.S, T=spec.T, U=spec.U + 2)
+    idx = BlockIndex(spec, d, [0], [0])
+    if d < 3:
+        rows, _ = operator_int_rows(idx, BlockIndex(spec, d + 1, [0], [0]), cech_D)
+        _, kernel = fraction_rank_kernel(rows, len(idx))
+    else:
+        kernel = [{k: Fraction(1)} for k in range(len(idx))]
+    tgt = BlockIndex(big, d, [0], [0])
+    if d:
+        src = BlockIndex(big, d - 1, [0], [0])
+        rows, _ = operator_int_rows(src, tgt, cech_D)
+        nb = len(src)
+    else:
+        rows, nb = [{} for _ in range(len(tgt))], 0
+    rank_b, _ = fraction_rank_kernel(rows, nb)
+    for t, vec in enumerate(kernel):
+        for k, v in vec.items():
+            rows[tgt.pos[idx.keys[k]]][nb + t] = v
+    return fraction_rank_kernel(rows, nb + len(kernel))[0] - rank_b
+
+
+def test_h_ranks_lemma_sweep_matches_fraction_oracle():
+    """h_ranks' hk ranks, the alternating sums of the naive ranks (the lemma
+    in its docstring), equal the stable ranks of the piece computed without
+    the lemma, for r = 1..5, U = 0..4 and p in {2, 3, 5}: (1, 2, 1, 0) for
+    U >= 1 and (1, 1, 1, 0) at U = 0."""
+    for p in (2, 3, 5):
+        field = FieldDescriptor.base(PadicContext(p, 12))
+        for r in range(1, 6):
+            for U in range(5):
+                spec = CechSpec(r, "hk", field, S=1, T=1, U=U)
+                want = {d: piece_stable_rank_oracle(spec, d) for d in range(4)}
+                assert want == ({0: 1, 1: 2, 2: 1, 3: 0} if U else
+                                {0: 1, 1: 1, 2: 1, 3: 0}), (p, r, U)
+                assert h_ranks(spec) == (want, False), (p, r, U)
 
 
 def test_spec_refuses_a_negative_window():

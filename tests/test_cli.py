@@ -149,6 +149,13 @@ def test_log_composite_prime_exits_two(capsys):
     assert "prime" in err
 
 
+@pytest.mark.parametrize("p", [10 ** 401 + 1, 2 ** 89 - 1, 3317044064679887385961981],
+                         ids=["402 digits", "2^89 - 1", "the primality bound"])
+def test_log_p_past_the_primality_bound_exits_two(p, capsys):
+    err = _exits_two_with_one_line(["log", "--p", str(p)], capsys)
+    assert "primality bound 3317044064679887385961981" in err
+
+
 def test_log_nonpositive_precision_exits_two(capsys):
     err = _exits_two_with_one_line(["log", "--p", "5", "--prec", "0"], capsys)
     assert "prec" in err

@@ -7,8 +7,10 @@ raises out of main and never runs past its time budget.
 
 draw_argv(rng, files) draws one case: `tate`, `log`, `verify` or
 `report-diff`, with numbers at and beside every bound (prec 7 and 8; p = 1,
-2, 4 and primes; T at the window bound p^(prec - SLACK) and one below it; U 0
-and 1; Eisenstein degree 64 and 65; trials 0), polynomials that are not
+2, 4 and primes, for `log` also a 19-digit prime, strong pseudoprimes and
+p at and past the primality bound; T at the window bound p^(prec - SLACK)
+and one below it; U 0 and 1; Eisenstein degree 64 and 65; trials 0),
+polynomials that are not
 monic or not Eisenstein or have rational, zero or huge coefficients, element
 expressions that nest deeply, use unknown names or divide by zero, and
 report files that are missing, truncated, not JSON or of another format.
@@ -29,13 +31,22 @@ import random
 import signal
 from pathlib import Path
 
+import pytest
+
 from tatehk import JobSpec, compute_tate, render_report
 from tatehk.cech import SLACK
 from tatehk.cli import main
+from tatehk.padic import PRIME_BOUND
 from tatehk.pipeline import suite_names
 
 BUDGET_S = 5
 SLICE = range(200)
+# a 19-digit prime: trial division up to its square root would take hours
+LARGE_PRIME = 1000000000000000003
+# 402 digits, the Mersenne prime 2^89 - 1, and the bound itself
+PAST_THE_BOUND = [10 ** 401 + 1, 2 ** 89 - 1, PRIME_BOUND]
+# strong pseudoprimes to the bases 2-7 and 2-31 (OEIS A014233)
+STRONG_PSEUDOPRIMES = [3215031751, 3825123056546413051]
 
 _SUITES = suite_names()
 
@@ -84,9 +95,13 @@ def _pick(rng, valid: list, refused: list, share: float = 0.85):
 
 
 def _prime(rng, small: bool = True) -> int:
-    """A small prime (for `log` also a larger one), or 1, 4, 0 or -3."""
-    return _pick(rng, [2, 2, 3, 3, 5, 7] + ([] if small else [11, 101, 1009]),
-                 [1, 4, 0, -3])
+    """A small prime, or 1, 4, 0 or -3; for `log` also a larger prime up to
+    19 digits, numbers at and past the primality bound, and composites that
+    pass Miller-Rabin to the first 4 and 11 prime bases."""
+    if small:
+        return _pick(rng, [2, 2, 3, 3, 5, 7], [1, 4, 0, -3])
+    return _pick(rng, [2, 2, 3, 3, 5, 7, 11, 101, 1009, LARGE_PRIME],
+                 [1, 4, 0, -3] + PAST_THE_BOUND + STRONG_PSEUDOPRIMES)
 
 
 def _eisenstein(rng, p: int, max_degree: int) -> str:
@@ -269,3 +284,13 @@ def test_seeded_argv_keep_the_cli_contract(tmp_path):
     assert {argv[0] for _, argv, _, _ in cases if argv} >= {
         "tate", "log", "verify", "report-diff"}
     assert {code for _, _, code, _ in cases} >= {0, 1, 2}
+
+
+@pytest.mark.parametrize("argv", [
+    ["log", "--p", str(LARGE_PRIME), "--prec", "8"],
+    ["tate", "--p", str(LARGE_PRIME), "--r", "1", "--prec", "8"],
+    ["verify", "--p", str(LARGE_PRIME), "--prec", "8", "--r", "1",
+     "--suite", "kim_hain_algebra"],
+], ids=["log", "tate", "verify"])
+def test_a_19_digit_prime_runs_within_the_budget(argv):
+    assert check_case(argv) == (0, None)

@@ -11,7 +11,8 @@ from tatehk.errors import (AmbiguousValuation, DivisionByIndistinguishableZero,
                            NotAOneUnit)
 from tatehk.field import (FieldDescriptor, KElement, k_teichmuller, parse_eisenstein,
                           parse_element, unit_decompose)
-from tatehk.padic import PadicContext, PadicScalar, teichmuller, vp
+from tatehk.padic import (PRIME_BOUND, PadicContext, PadicScalar, _is_prime,
+                          teichmuller, vp)
 
 
 def frac_vp(q: Fraction, p: int) -> int:
@@ -544,3 +545,31 @@ def test_unit_decompose_against_exact_oracle(case):
     else:
         rhs = _exact_times(fld, rhs, _pi_power(fld, -a))
     _assert_within(fld, lhs, rhs, u.cert_prec_pi() + max(a, 0))
+
+
+def test_primality_matches_trial_division_below_ten_thousand():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(-3, 10000) if _is_prime(n)] == \
+        [n for n in range(-3, 10000) if trial_division(n)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 1000003, 1000000000000000003])
+def test_context_accepts_a_prime(p):
+    assert PadicContext(p, 8).p == p
+
+
+@pytest.mark.parametrize("p", [3215031751, 3825123056546413051],
+                         ids=["spsp to bases 2-7", "spsp to bases 2-31"])
+def test_context_refuses_a_strong_pseudoprime(p):
+    with pytest.raises(ValueError, match="p must be prime"):
+        PadicContext(p, 8)
+
+
+@pytest.mark.parametrize("p", [PRIME_BOUND, 2 ** 89 - 1, 10 ** 401 + 1],
+                         ids=["the bound", "2^89 - 1", "402 digits"])
+def test_context_refuses_p_at_or_past_the_primality_bound(p):
+    # the bound passes Miller-Rabin to all 13 bases, so it is refused by size
+    assert _is_prime(PRIME_BOUND)
+    with pytest.raises(ValueError, match=f"primality bound {PRIME_BOUND}"):
+        PadicContext(p, 8)

@@ -3,15 +3,17 @@
     python3 tools/mutants.py [NAME ...]
 
 Each row of MUTANTS weakens one certificate: (name, file, old text, new
-text). For each row asked for (all rows by default), src/, tests/,
-perfbench/ and pyproject.toml are copied to a temporary directory, the old
-text is replaced by the new one there, and tier-1 runs on the copy with
-`pytest -x -q`. The checkout is never edited. A row whose old text does not
+text), and for a mutant shown equivalent a fifth field, the reason no input
+can tell it apart. For each row asked for (all rows by default), src/,
+tests/, perfbench/ and pyproject.toml are copied to a temporary directory,
+the old text is replaced by the new one there, and tier-1 runs on the copy
+with `pytest -x -q`. The checkout is never edited. A row whose old text does not
 occur exactly once exits 2 before any test runs, so a table gone stale
 after a refactor is seen at once.
 
-One line per row: killed or survived, the seconds taken, and the first
-failing test. Exits 1 if any mutant survived. A survivor is mended by a
+One line per row: killed, survived or equivalent (a survivor with a
+reason, which is printed), the seconds taken, and the first failing test.
+Exits 1 if any mutant without a reason survived. A survivor is mended by a
 test that kills it, or kept in the table with the reason it cannot be told
 apart; a row is never deleted to get a clean table. Not part of tier-1:
 all rows take a few minutes.
@@ -76,12 +78,28 @@ MUTANTS = (
     ("verify leaves its suites to the work", "src/tatehk/cli.py",
      "    for name in names:\n        check_suite_args(", "    for name in ():\n"
      "        check_suite_args("),
+    ("h_ranks lemma dropped", "src/tatehk/cech.py",
+     "h[d] -= h[d - 1]", "h[d] = h[d]"),
+    ("h_ranks lemma only from d >= 2", "src/tatehk/cech.py",
+     "for d in (1, 2, 3):", "for d in (2, 3):"),
+    ("Miller-Rabin without bases 37 and 41", "src/tatehk/padic.py",
+     "23, 29, 31, 37, 41)", "23, 29, 31)"),
+    ("primality bound p > bound", "src/tatehk/padic.py",
+     "if p >= PRIME_BOUND:", "if p > PRIME_BOUND:"),
+    ("log_one_unit guard digits G - 1", "src/tatehk/plog.py",
+     "-(-depth // e) + guard + k)", "-(-depth // e) + guard - 1 + k)"),
+    ("pi_digits M one digit short", "src/tatehk/field.py",
+     "mod = p ** (-(-n // fld.e) + 1)", "mod = p ** (-(-n // fld.e))",
+     "the docstring's own bound needs only e*M >= n, so M = ceil(n/e) "
+     "already gives every digit; the + 1 is a spare digit"),
+    ("pi_digits M two digits short", "src/tatehk/field.py",
+     "mod = p ** (-(-n // fld.e) + 1)", "mod = p ** (-(-n // fld.e) - 1)"),
 )
 
 
 def run(row) -> tuple:
     """(killed, seconds, first failing test or '') for one row."""
-    _, path, old, new = row
+    _, path, old, new = row[:4]
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tree = Path(tmp)
         for item in COPIED:
@@ -109,7 +127,7 @@ def main(argv) -> int:
         print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
         return 2
     rows = [row for row in MUTANTS if not argv or row[0] in argv]
-    for name, path, old, _ in rows:   # every row applies before any test runs
+    for name, path, old, *_ in rows:   # every row applies before any test runs
         if (ROOT / path).read_text().count(old) != 1:
             print(f"{name}: mutant text does not occur exactly once in {path}",
                   file=sys.stderr)
@@ -117,9 +135,10 @@ def main(argv) -> int:
     survived = 0
     for row in rows:
         killed, seconds, first = run(row)
-        survived += not killed
-        print(f"{'killed' if killed else 'survived':8} {seconds:6.1f} s  "
-              f"{row[0]}  {first}", flush=True)
+        verdict = "killed" if killed else "survived" if len(row) == 4 else "equivalent"
+        survived += verdict == "survived"
+        note = first if killed or len(row) == 4 else row[4]
+        print(f"{verdict:10} {seconds:6.1f} s  {row[0]}  {note}", flush=True)
     return 1 if survived else 0
 
 
