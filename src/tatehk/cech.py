@@ -69,8 +69,8 @@ from .errors import (AmbiguousPivot, AmbiguousSolve, ChartMismatch,
                      NotACoboundary, NotInSpan, TaintedWindow)
 from .field import FieldDescriptor, KElement
 from .kimhain import U_TAIL, UForm
-from .linalg import (PrecMatrix, _back_substitute, _solve_echelon, _touching,
-                     int_echelon, int_rank_sparse, rank_at)
+from .linalg import (PrecMatrix, _back_substitute, _solve_echelon, int_echelon,
+                     int_rank_sparse, rank_at)
 
 # certificate floors sit SLACK digits under the working precision
 SLACK = 5
@@ -689,18 +689,17 @@ def _hk_solve(rows: list, nsrc: int, nclasses: int, ntargets: int):
     a target is outside the span exactly when one of them has an entry at its
     column (being a pivot also tests it against the earlier targets). A
     class column that is no pivot makes the classes dependent modulo
-    coboundaries. Otherwise back-substituting the target's column f gives x
-    with x_f = d > 0, so coords = -x_C / d and witness = -x_D / d."""
+    coboundaries. Otherwise _back_substitute(ech, f) at the target's column
+    f gives x with x_f = d > 0, so coords = -x_C / d and witness = -x_D / d."""
     nb = nsrc + nclasses
     ech = int_echelon(rows, nb + ntargets)
     outside = {j for c, prow in ech.items() if c >= nb for j in prow}
     if any(f not in outside for f in range(nb, nb + ntargets)) and \
             any(c not in ech for c in range(nsrc, nb)):
         raise AmbiguousSolve("classes are dependent modulo coboundaries")
-    touch = _touching(ech)
     sols = []
     for f in range(nb, nb + ntargets):
-        x = None if f in outside else _back_substitute(ech, touch, f)
+        x = None if f in outside else _back_substitute(ech, f)
         sols.append(None if x is None else
                     ([Fraction(-x.get(c, 0), x[f]) for c in range(nsrc, nb)],
                      {c: Fraction(-v, x[f]) for c, v in x.items() if c < nsrc}))

@@ -573,7 +573,7 @@ class KElement:
         """First n pi-adic digits d_j in {0..p-1}, x = sum d_j pi^j + O(pi^n).
 
         One integer recurrence for every e: the coefficients are lifted
-        once and reduced mod p^M, M = ceil(n/e) + 1. Each step emits
+        once and reduced mod p^M, M = ceil(n/e). Each step emits
         d = c_0 mod p and replaces x by (x - d)/pi = ((c_0 - d)/p)*(p/pi)
         + (c_1 + c_2 pi + ...), where p/pi has p-integral coefficients.
         The truncation is an error of pi-valuation >= e*M, each step lowers
@@ -588,7 +588,7 @@ class KElement:
             raise ValueError("negative valuation has no digit expansion")
         fld = self.field
         p = fld.p
-        mod = p ** (-(-n // fld.e) + 1)
+        mod = p ** -(-n // fld.e)
         w = [c.numerator * pow(c.denominator, -1, mod) % mod for c in fld.p_over_pi]
         c = self.lifts(mod)
         top = fld.e - 1

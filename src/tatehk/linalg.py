@@ -16,7 +16,6 @@ one free column at a time through it (_back_substitute).
 
 from __future__ import annotations
 
-from bisect import insort
 from math import gcd
 
 from .errors import AmbiguousPivot, AmbiguousSolve
@@ -315,35 +314,17 @@ def int_echelon(rows: list, ncols: int) -> dict:
     return ech
 
 
-def _touching(ech: dict) -> dict:
-    """Column index of an int_echelon: {column: pivots whose row has an entry
-    there, besides its own leading one}."""
-    touch = {}
-    for c, prow in ech.items():
-        for j in prow:
-            if j != c:
-                touch.setdefault(j, []).append(c)
-    return touch
-
-
-def _back_substitute(ech: dict, touch: dict, f: int) -> dict:
+def _back_substitute(ech: dict, f: int) -> dict:
     """The primitive integer vector x with ech x = 0, x_f > 0 on the free
     column f, and zero at the other free columns. It is unique, because the
-    one with x_f = 1 is. Pivot columns are solved downwards, and only those
-    whose row touches the support of x (touch = _touching(ech)) can have a
-    nonzero dot product, so only they are visited. x stays primitive at
-    every step: it is scaled only by |d| / g, which is coprime to the new
-    entry s / g."""
+    one with x_f = 1 is. The pivot columns below f are solved downwards; the
+    row of pivot c has entries only at columns >= c, all known by then. x
+    stays primitive at every step: it is scaled only by |d| / g, which is
+    coprime to the new entry s / g."""
     x = {f: 1}
-    todo = sorted(touch.get(f, ()))
-    queued = set(todo)
-    while todo:
-        c = todo.pop()
+    for c in sorted((c for c in ech if c < f), reverse=True):
         prow = ech[c]
-        if len(x) < len(prow):
-            s = sum(prow.get(j, 0) * v for j, v in x.items())
-        else:
-            s = sum(x.get(j, 0) * v for j, v in prow.items())
+        s = sum(v * x[j] for j, v in prow.items() if j in x)
         if not s:
             continue
         d = prow[c]
@@ -352,25 +333,15 @@ def _back_substitute(ech: dict, touch: dict, f: int) -> dict:
         if scale != 1:
             x = {j: v * scale for j, v in x.items()}
         x[c] = -(s // g) if d > 0 else s // g
-        for below in touch.get(c, ()):
-            if below not in queued:
-                queued.add(below)
-                insort(todo, below)
     return x
-
-
-def _echelon_kernel(ech: dict, ncols: int) -> list:
-    """Kernel of an int_echelon over Q: the back-substituted vector of each
-    free column below ncols, in column order."""
-    touch = _touching(ech)
-    return [_back_substitute(ech, touch, f) for f in range(ncols) if f not in ech]
 
 
 def int_kernel_sparse(rows: list, ncols: int) -> list:
     """Exact kernel basis over Q of the first ncols columns of a sparse integer
     matrix: one primitive integer vector (dict col -> int) per free column,
-    from the back-substitution of int_echelon."""
-    return _echelon_kernel(int_echelon(rows, ncols), ncols)
+    from the back-substitution of int_echelon, in column order."""
+    ech = int_echelon(rows, ncols)
+    return [_back_substitute(ech, f) for f in range(ncols) if f not in ech]
 
 
 def int_rank_sparse(rows: list, ncols: int) -> int:

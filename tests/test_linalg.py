@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from tatehk.errors import AmbiguousSolve
+from tatehk.errors import AmbiguousPivot, AmbiguousSolve
 from tatehk.field import FieldDescriptor, parse_eisenstein
 from tatehk.linalg import (PrecMatrix, _solve_echelon, int_echelon,
                            int_kernel_sparse, int_rank_sparse, kernel_basis,
@@ -197,6 +197,16 @@ def test_solve_echelon_matches_row_reduce():
             seen_ambiguity += bool(ref.ambiguity)
             seen_obstruction += sol is None
     assert seen_ambiguity and seen_obstruction
+
+
+def test_rank_at_refuses_a_pivotless_column_below_its_floor():
+    # column 0 holds only a zero known to O(p^12): rank 1 is certified at
+    # floor 12, and at floor 13 that zero might be a pivot
+    z = QP.embed_scalar(PadicScalar.zero(CTX, 12))
+    res = row_reduce(PrecMatrix.from_rows(QP, [[z, 1], [0, 2]]))
+    assert res.rank_at(12) == 1
+    with pytest.raises(AmbiguousPivot, match="column 0"):
+        res.rank_at(13)
 
 
 def test_valuation_pivoting_keeps_precision():

@@ -89,11 +89,29 @@ MUTANTS = (
     ("log_one_unit guard digits G - 1", "src/tatehk/plog.py",
      "-(-depth // e) + guard + k)", "-(-depth // e) + guard - 1 + k)"),
     ("pi_digits M one digit short", "src/tatehk/field.py",
-     "mod = p ** (-(-n // fld.e) + 1)", "mod = p ** (-(-n // fld.e))",
-     "the docstring's own bound needs only e*M >= n, so M = ceil(n/e) "
-     "already gives every digit; the + 1 is a spare digit"),
+     "mod = p ** -(-n // fld.e)", "mod = p ** (-(-n // fld.e) - 1)"),
     ("pi_digits M two digits short", "src/tatehk/field.py",
-     "mod = p ** (-(-n // fld.e) + 1)", "mod = p ** (-(-n // fld.e) - 1)"),
+     "mod = p ** -(-n // fld.e)", "mod = p ** (-(-n // fld.e) - 2)"),
+    ("back-substitution upwards", "src/tatehk/linalg.py",
+     "if c < f), reverse=True):", "if c < f), reverse=False):"),
+    ("back-substitution without its scale step", "src/tatehk/linalg.py",
+     "if scale != 1:", "if False:"),
+    ("back-substitution without its sign rule", "src/tatehk/linalg.py",
+     "x[c] = -(s // g) if d > 0 else s // g", "x[c] = -(s // g)"),
+    ("rank_at refusal", "src/tatehk/linalg.py",
+     "if prec < floor_pi:", "if prec < floor_pi - 10**6:"),
+    ("report_diff compares the digit at its depth", "src/tatehk/pipeline.py",
+     "for k in positions if k < depth)", "for k in positions if k <= depth)"),
+    ("log argument reduction never taken", "src/tatehk/plog.py",
+     "if r * per_power + n < cost:", "if False:"),
+    ("shift without its zero-at-cap rule", "src/tatehk/field.py",
+     "if c is None or not c[1] and c[2] >= cap:", "if c is None:"),
+    ("_product without its left-zero rule", "src/tatehk/field.py",
+     "if ua or pa < cap:  # a zero at the cap is exact", "if True:"),
+    ("h_ranks tainted verdict without any(h)", "src/tatehk/cech.py",
+     "return h, tainted and any(h.values())", "return h, tainted",
+     "every piece key has (a, b) = (0, 0) on hk and j = 0 on dr, so no D of "
+     "the piece overflows and tainted is always False"),
 )
 
 
