@@ -70,7 +70,7 @@ from .errors import (AmbiguousPivot, AmbiguousSolve, ChartMismatch,
 from .field import FieldDescriptor, KElement
 from .kimhain import U_TAIL, UForm
 from .linalg import (PrecMatrix, _back_substitute, _solve_echelon, int_echelon,
-                     int_rank_sparse, rank_at)
+                     int_kernel_sparse, int_rank_sparse, rank_at, row_reduce)
 
 # certificate floors sit SLACK digits under the working precision
 SLACK = 5
@@ -587,9 +587,11 @@ def h_ranks(spec: CechSpec):
 
     Eliminates the piece P_U alone (module docstring), once every block off
     it is certified acyclic, for its naive ranks n_d = dim H^d(P_U). Returns
-    (ranks, tainted), tainted if the window overflowed in a piece with
-    cohomology. dr ranks are n, certified at cert_floor; hk ranks, h_d =
-    rank(H^d(P_U) -> H^d(P_U+2)), drop the u-cap's artifacts.
+    the ranks, with no overflow flag: no D of the piece leaves the window.
+    On hk every key has (a, b) = (0, 0), so nat and twist keep i = 0 and the
+    u-tail only lowers u; on dr every key has j = 0 <= T. dr ranks are n,
+    certified at cert_floor; hk ranks, h_d = rank(H^d(P_U) -> H^d(P_U+2)),
+    drop the u-cap's artifacts.
 
     Lemma. On the hk piece h_d = n_d - h_(d-1) (h_(-1) = 0), so no second
     elimination is needed: h = (1, 2, 1, 0) for U >= 1 (n = (1, 3, 3, 1)),
@@ -620,11 +622,11 @@ def h_ranks(spec: CechSpec):
     h_(d-1) + h_d.
     """
     _check_acyclic_off_piece(spec, cert_floor(spec.field))
-    h, _, tainted = _block_h_direct(spec, 0, [0])
+    h, _, _ = _block_h_direct(spec, 0, [0])
     if spec.side == "hk":
         for d in (1, 2, 3):
             h[d] -= h[d - 1]
-    return h, tainted and any(h.values())
+    return h
 
 
 # -- certified class arithmetic ------------------------------------------------
@@ -793,3 +795,34 @@ def coboundary_witness(target: CechCochain, *,
         raise NotACoboundary("target is certified not to be a coboundary",
                              obstruction=target)
     return sol[1]
+
+
+# -- the fiber's one-form lines ------------------------------------------------
+
+
+def fiber_one_form_lines(dr: CechSpec, classes, extra):
+    """Classes of degree-1 cocycles with no overlap component.
+
+    These are the candidates for the one-form line of the fiber: global
+    one-forms of the cover glue to a cocycle exactly when the overlap
+    component vanishes. They are solved in one class system with the
+    degree-1 targets extra. Returns (independent coordinate vectors in the
+    given class basis, the coordinates of each extra target). The cocycles
+    are exact: D on the piece's Z columns has entries +-1, read with
+    _centered_int, and its kernel is taken over Z (int_kernel_sparse); the
+    lines are certified at cert_floor."""
+    floor_pi = cert_floor(dr.field)
+    idx1 = BlockIndex(dr, 1, [0], [0])
+    mat, _ = block_D(idx1, BlockIndex(dr, 2, [0], [0]))
+    nz = sum(1 for key in idx1.keys if key[1] == "Z")  # the Z columns come first
+    rows = [{k: _centered_int(v) for k, v in row.items() if k < nz} for row in mat.rows]
+    if any(None in row.values() for row in rows):
+        raise AmbiguousSolve("the fiber's one-form differential is not an integer matrix")
+    kernel = [idx1.cochain({k: dr.field.from_int(m) for k, m in vec.items()})
+              for vec in int_kernel_sparse(rows, nz)]
+    coords = [c for c, _ in express_all([*extra, *kernel], classes)]
+    red = row_reduce(PrecMatrix.from_rows(dr.field, [
+        c for c in coords[len(extra):] if not all(x.is_zero_at(floor_pi) for x in c)]))
+    red.rank_at(floor_pi)
+    return [[red.echelon.entry(i, j) for j in range(len(classes))]
+            for i, _ in red.pivots], coords[:len(extra)]

@@ -286,15 +286,8 @@ class ChartElement(_SparseForm):
         kind = XF if self.kind == Z else WF
         out = FiberElement(target, self.r, kind, self.n, self.degree,
                            self.T, overflow=self.overflow)
-        pows = {}
-
-        def apow(k):
-            if k not in pows:
-                pows[k] = a ** k
-            return pows[k]
-
         for (i, j, slot), c in self.coeffs.items():
-            ck = target.from_coeff(c.coeff(0)) * apow(i)
+            ck = target.from_coeff(c.coeff(0)) * a ** i
             if self.degree == 0:
                 out._accumulate(j, 0, ck)
             elif self.degree == 1:

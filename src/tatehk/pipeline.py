@@ -19,14 +19,13 @@ import random
 import re
 from fractions import Fraction
 
-from .cech import (SLACK, BlockIndex, CechSpec, _centered_int, block_D, cech_frobenius,
-                   cech_N, cech_psi, cert_floor, class_e1, class_e2, dr_window_bound,
-                   express_all, h_ranks, is_cocycle, top_class, unit_class)
+from .cech import (SLACK, CechSpec, cech_frobenius, cech_N, cech_psi, cert_floor,
+                   class_e1, class_e2, dr_window_bound, express_all,
+                   fiber_one_form_lines, h_ranks, is_cocycle, top_class, unit_class)
 from .charts import _CHART_SLOTS, ChartElement
-from .errors import AmbiguousSolve
 from .field import FieldDescriptor, k_teichmuller, parse_eisenstein
 from .kimhain import UForm
-from .linalg import PrecMatrix, int_kernel_sparse, row_reduce
+from .linalg import PrecMatrix
 from .padic import PadicContext
 from .phin import (FilteredPhiNModule, branch_transition, embed_matrix,
                    exp_unipotent, matrix_inverse, matrix_same_at)
@@ -107,34 +106,6 @@ def _in_basis(ops, sources, classes) -> list:
             for k in range(0, len(cols), n)]
 
 
-def fiber_one_form_lines(dr: CechSpec, classes, extra):
-    """Classes of degree-1 cocycles with no overlap component.
-
-    These are the candidates for the one-form line of the fiber: global
-    one-forms of the cover glue to a cocycle exactly when the overlap
-    component vanishes. They are solved in one class system with the
-    degree-1 targets extra. Returns (independent coordinate vectors in the
-    given class basis, the coordinates of each extra target). The cocycles
-    are exact: D on the piece's Z columns has entries +-1, read with
-    _centered_int, and its kernel is taken over Z (int_kernel_sparse); the
-    lines are certified at cert_floor."""
-    floor_pi = cert_floor(dr.field)
-    idx1 = BlockIndex(dr, 1, [0], [0])
-    mat, _ = block_D(idx1, BlockIndex(dr, 2, [0], [0]))
-    nz = sum(1 for key in idx1.keys if key[1] == "Z")  # the Z columns come first
-    rows = [{k: _centered_int(v) for k, v in row.items() if k < nz} for row in mat.rows]
-    if any(None in row.values() for row in rows):
-        raise AmbiguousSolve("the fiber's one-form differential is not an integer matrix")
-    kernel = [idx1.cochain({k: dr.field.from_int(m) for k, m in vec.items()})
-              for vec in int_kernel_sparse(rows, nz)]
-    coords = [c for c, _ in express_all([*extra, *kernel], classes)]
-    red = row_reduce(PrecMatrix.from_rows(dr.field, [
-        c for c in coords[len(extra):] if not all(x.is_zero_at(floor_pi) for x in c)]))
-    red.rank_at(floor_pi)
-    return [[red.echelon.entry(i, j) for j in range(len(classes))]
-            for i, _ in red.pivots], coords[:len(extra)]
-
-
 def compute_tate(job: JobSpec) -> TateComputation:
     field = job.field
     base = FieldDescriptor.base(job.ctx)
@@ -187,9 +158,9 @@ def compute_tate(job: JobSpec) -> TateComputation:
         filtration[1] = out.fil_hk
     out.module = FilteredPhiNModule(field, phi_k, n_k, filtration)
 
-    out.ranks_hk, t1 = h_ranks(out.hk)
-    out.ranks_dr, t2 = h_ranks(out.dr)
-    out.ranks_tainted = t1 or t2
+    out.ranks_hk = h_ranks(out.hk)
+    out.ranks_dr = h_ranks(out.dr)
+    out.ranks_tainted = False   # no D of the piece leaves the window (h_ranks)
     return out
 
 
@@ -308,11 +279,10 @@ def _suite_result(name, params, failures, checks):
 
 
 def _suite_kim_hain(p, prec, r, eisenstein, seed, trials):
-    ctx = PadicContext(p, prec)
-    field = FieldDescriptor.base(ctx)
+    job = JobSpec(p, prec, r, eisenstein)   # the windows check_suite_args checks
+    field = FieldDescriptor.base(job.ctx)
     rng = random.Random(seed)
-    S = T = 2 * p + 2
-    U = 3
+    S, T, U = job.S, job.T, job.U
     cap = prec
     failures = []
     checks = 0

@@ -189,11 +189,11 @@ def test_tainted_window_is_refused():
 
 def test_h_ranks():
     for r in (1, 2, 3):
-        h, tainted = h_ranks(hk_spec(r))
+        h, tainted = h_ranks(hk_spec(r)), _block_h_direct(hk_spec(r), 0, [0])[2]
         assert (h[0], h[1], h[2], h[3]) == (1, 2, 1, 0)
         assert not tainted
     for r in (1, 2):
-        h, tainted = h_ranks(dr_spec(r))
+        h, tainted = h_ranks(dr_spec(r)), _block_h_direct(dr_spec(r), 0, [0])[2]
         assert (h[0], h[1], h[2], h[3]) == (1, 2, 1, 0)
         assert not tainted
 
@@ -248,7 +248,8 @@ def test_cohomology_lives_on_one_piece():
                 assert i == 0 or not any(h.values()), (spec.side, spec.r, i)
                 total = {d: total[d] + h[d] for d in range(4)}
             assert total == whole
-        assert h_ranks(spec) == h_ranks_over_all_blocks(spec), \
+        assert (h_ranks(spec), _block_h_direct(spec, 0, [0])[2]) == \
+            h_ranks_over_all_blocks(spec), \
             (spec.side, spec.r, spec.S, spec.U)
 
 
@@ -274,7 +275,7 @@ def test_h_ranks_refuses_a_failed_premise(monkeypatch):
     for T, ok in ((2, True), (3, False)):
         spec = CechSpec(1, "dr", low, S=T, T=T, U=0, point=low.pi())
         if ok:
-            assert h_ranks(spec)[0] == {0: 1, 1: 2, 2: 1, 3: 0}
+            assert h_ranks(spec) == {0: 1, 1: 2, 2: 1, 3: 0}
             continue
         # d(w^3) = 3 w^3 dlog w has valuation 1, not below the floor
         with pytest.raises(AmbiguousPivot, match="j=-3"):
@@ -449,7 +450,8 @@ def test_h_ranks_lemma_sweep_matches_fraction_oracle():
                 want = {d: piece_stable_rank_oracle(spec, d) for d in range(4)}
                 assert want == ({0: 1, 1: 2, 2: 1, 3: 0} if U else
                                 {0: 1, 1: 1, 2: 1, 3: 0}), (p, r, U)
-                assert h_ranks(spec) == (want, False), (p, r, U)
+                assert (h_ranks(spec), _block_h_direct(spec, 0, [0])[2]) == \
+                    (want, False), (p, r, U)
 
 
 def test_spec_refuses_a_negative_window():

@@ -57,7 +57,7 @@ MUTANTS = (
     ("is_cocycle at floor - 3", "src/tatehk/cech.py",
      "image.is_zero_at(cert_floor(c.spec.field))",
      "image.is_zero_at(cert_floor(c.spec.field) - 3)"),
-    ("fiber integrality refusal", "src/tatehk/pipeline.py",
+    ("fiber integrality refusal", "src/tatehk/cech.py",
      "if any(None in row.values() for row in rows):", "if False:"),
     ("_times as a product in K", "src/tatehk/charts.py",
      "-c if k == -1 else c.scale(k)", "-c if k == -1 else c * k"),
@@ -108,10 +108,20 @@ MUTANTS = (
      "if c is None or not c[1] and c[2] >= cap:", "if c is None:"),
     ("_product without its left-zero rule", "src/tatehk/field.py",
      "if ua or pa < cap:  # a zero at the cap is exact", "if True:"),
-    ("h_ranks tainted verdict without any(h)", "src/tatehk/cech.py",
-     "return h, tainted and any(h.values())", "return h, tainted",
-     "every piece key has (a, b) = (0, 0) on hk and j = 0 on dr, so no D of "
-     "the piece overflows and tainted is always False"),
+    ("ChartElement._accumulate keeps no overflow flag", "src/tatehk/charts.py",
+     "            self.overflow = True\n            return\n"
+     "        self._add_term((i, j, slot), coeff)",
+     "            return\n        self._add_term((i, j, slot), coeff)"),
+    ("FiberElement._accumulate keeps no overflow flag", "src/tatehk/charts.py",
+     "            self.overflow = True\n            return\n"
+     "        self._add_term((j, slot), coeff)",
+     "            return\n        self._add_term((j, slot), coeff)"),
+    ("UForm._accumulate keeps no u-cap overflow flag", "src/tatehk/kimhain.py",
+     "                self.ucap_overflow = True\n            return",
+     "                pass\n            return"),
+    ("_SparseForm.__add__ drops other.overflow", "src/tatehk/charts.py",
+     "out.overflow = self.overflow or other.overflow\n        out.coeffs = dict(",
+     "out.overflow = self.overflow\n        out.coeffs = dict("),
 )
 
 
