@@ -51,12 +51,13 @@ straight from the basis keys, for exact integer elimination (int_rank_sparse
 counts the ranks of the piece, and the echelon of a class system gives its
 coordinates and witnesses). operator_int_rows, which is operator_matrix
 (cech_D applied to every basis cochain) read as integers, is kept as the
-oracle the stencil is tested against. block_D builds D (stencil or
-operator_matrix) once per spec and block, for h_ranks, the class systems
-and the fiber lines. All targets of one degree share one class system, a
-column each: on hk one exact echelon of [stencil | classes | targets] over
-Q, so coordinates and witnesses are exact rationals; on dr one elimination
-over the scalars, each residual certified at cert_floor(field).
+oracle the stencil is tested against. block_D builds the sparse rows of D
+(the stencil, or on dr those of operator_matrix over K) once per spec and
+block, for h_ranks, the class systems and the fiber lines. All targets of
+one degree share one class system, _system's rows of [D | classes |
+targets], a column each: on hk one exact echelon over Q solves it, so
+coordinates and witnesses are exact rationals; on dr one elimination over
+K (_solve_echelon), each residual certified at cert_floor(field).
 """
 
 from __future__ import annotations
@@ -531,16 +532,20 @@ def hk_D_rows(src: BlockIndex, tgt: BlockIndex):
 
 
 def block_D(src: BlockIndex, tgt: BlockIndex):
-    """(D, tainted) from src to tgt, the next degree of the same blocks: hk
-    stencil rows (hk_D_rows) or a dr operator_matrix of cech_D. Built once
-    per spec, keyed by src's degree, weights and levels, and shared by
-    h_ranks, the class systems and the fiber lines; a caller copies it
-    before adding columns."""
+    """(rows, tainted): the sparse rows of D from src to tgt, the next degree
+    of the same blocks; integer hk stencil rows (hk_D_rows), or on dr the
+    rows of the operator_matrix of cech_D, entries in K. Built once per spec,
+    keyed by src's degree, weights and levels, and shared by h_ranks, the
+    class systems and the fiber lines; a caller copies the rows before
+    adding columns."""
     spec = src.spec
     key = (src.degree, src.weights, src.levels)
     if key not in spec.d_table:
-        spec.d_table[key] = hk_D_rows(src, tgt) if spec.side == "hk" \
-            else operator_matrix(src, tgt, cech_D)
+        if spec.side == "hk":
+            spec.d_table[key] = hk_D_rows(src, tgt)
+        else:
+            mat, tainted = operator_matrix(src, tgt, cech_D)
+            spec.d_table[key] = mat.rows, tainted
     return spec.d_table[key]
 
 
@@ -555,8 +560,9 @@ def _block_h_direct(spec: CechSpec, wt: int, levels=None):
     for d in range(3):
         if dims[d] and dims[d + 1]:
             D, t = block_D(idx[d], idx[d + 1])
-            ranks[d] = int_rank_sparse(D, dims[d]) if spec.side == "hk" \
-                else rank_at(D, cert_floor(spec.field))
+            ranks[d] = int_rank_sparse(D, dims[d]) if spec.side == "hk" else \
+                rank_at(PrecMatrix(spec.field, dims[d + 1], dims[d], D),
+                        cert_floor(spec.field))
             tainted = tainted or t
     h = {d: dims[d] - ranks[d] - ranks[d - 1] for d in range(4)}
     return h, idx, tainted
@@ -657,22 +663,21 @@ def _solve_indices(targets, classes):
     return src, tgt
 
 
-def _hk_system(targets, classes):
-    """(src, tgt, rows, tainted): the exact integer rows of an hk class
-    system. Its columns are, in order, the stencil of D (block_D), the
-    classes, and one column per target. A class or target entry that is
-    not an integer known to the cap is refused, never rounded."""
+def _system(targets, classes):
+    """(src, tgt, rows, tainted): the sparse rows of a class system. Its
+    columns are, in order, D (block_D), the classes, and one column per
+    target. An hk entry is read as an integer (_centered_int); one that is
+    not an integer known to the cap is refused, never rounded. A dr entry is
+    taken as it is, an element of K (a form stores no zero known to the
+    cap). tainted is the window overflow of D, the classes or the targets."""
     src, tgt = _solve_indices(targets, classes)
-    tainted = any(c.overflow for c in (*targets, *classes))
-    if src is None:
-        rows = [{} for _ in range(len(tgt))]
-    else:
-        D, t = block_D(src, tgt)
-        rows = [dict(row) for row in D]
-        tainted = tainted or t
+    D, tainted = ([{} for _ in tgt.keys], False) if src is None else block_D(src, tgt)
+    rows = [dict(row) for row in D]
+    hk = tgt.spec.side == "hk"
     for col, c in enumerate((*classes, *targets), start=len(src or ())):
+        tainted = tainted or c.overflow
         for row, coeff in tgt.vector(c).items():
-            m = _centered_int(coeff)
+            m = _centered_int(coeff) if hk else coeff
             if m is None:
                 raise AmbiguousSolve(
                     f"hk coefficient {coeff.expansion_str()} at {tgt.keys[row]}"
@@ -683,7 +688,7 @@ def _hk_system(targets, classes):
 
 
 def _hk_solve(rows: list, nsrc: int, nclasses: int, ntargets: int):
-    """Exact solution over Q of an _hk_system with ntargets target columns:
+    """Exact solution over Q of an hk _system with ntargets target columns:
     per target (coords, witness vector) as Fractions, or None outside the span.
 
     One int_echelon decides everything. Its rows led at a column >= nb =
@@ -712,38 +717,26 @@ def _solve(targets, classes, allow_tainted: bool, what: str):
     """Per target, (coords, witness) of target = D(witness) + sum_k
     coords[k] classes[k], or None when it is certified outside the span.
 
-    The targets share one degree and one elimination, with one column each.
-    hk cochains are integer cochains: their system is solved exactly over Q
-    (_hk_solve) and only the solutions are entered into K. The dr system is
-    eliminated over K and each residual certified at cert_floor."""
+    The targets share one degree and one _system, a column each. hk cochains
+    are integer cochains: their system is solved exactly over Q (_hk_solve)
+    and only the solutions are entered into K. The dr system is eliminated
+    over K and each residual certified at cert_floor."""
     if not targets:
         return []
-    spec = targets[0].spec
-    field = spec.field
-    if spec.side == "hk":
-        src, tgt, rows, tainted = _hk_system(targets, classes)
-    else:
-        # [D | classes] over K; the targets are right-hand sides
-        src, tgt = _solve_indices(targets, classes)
-        D, tainted = (PrecMatrix(field, len(tgt), 0), False) if src is None \
-            else block_D(src, tgt)
-        full = PrecMatrix(field, D.nrows, D.ncols + len(classes),
-                          [dict(row) for row in D.rows])
-        for t, cl in enumerate(classes, start=D.ncols):
-            for row, coeff in tgt.vector(cl).items():
-                full.set_entry(row, t, coeff)
-        tainted = tainted or any(c.overflow for c in (*targets, *classes))
+    src, tgt, rows, tainted = _system(targets, classes)
     if tainted and not allow_tainted:
         raise TaintedWindow(f"window overflow while forming the {what} system")
+    field = tgt.spec.field
     nsrc = len(src or ())
-    if spec.side == "hk":
+    nb = nsrc + len(classes)
+    if tgt.spec.side == "hk":
         sols = [None if s is None else
                 ([field.from_rational(q) for q in s[0]],
                  {c: field.from_rational(q) for c, q in s[1].items()})
                 for s in _hk_solve(rows, nsrc, len(classes), len(targets))]
     else:
-        xs, res = _solve_echelon(full, [tgt.vector(t) for t in targets],
-                                 cert_floor(field))
+        aug = PrecMatrix(field, len(tgt), nb + len(targets), rows)
+        xs, res = _solve_echelon(aug, nb, cert_floor(field))
         if classes and any(x is not None for x in xs):
             # coordinates are canonical only if every class column earns a
             # pivot after the coboundary columns (independence modulo the
@@ -753,7 +746,7 @@ def _solve(targets, classes, allow_tainted: bool, what: str):
                 raise AmbiguousSolve(
                     "classes are dependent modulo coboundaries at this depth")
         sols = [None if x is None else
-                ([x.get(nsrc + t, field.zero()) for t in range(len(classes))],
+                ([x.get(c, field.zero()) for c in range(nsrc, nb)],
                  {c: v for c, v in x.items() if c < nsrc}) for x in xs]
     return [None if s is None else
             (s[0], None if src is None else src.cochain(s[1])) for s in sols]
@@ -813,9 +806,9 @@ def fiber_one_form_lines(dr: CechSpec, classes, extra):
     lines are certified at cert_floor."""
     floor_pi = cert_floor(dr.field)
     idx1 = BlockIndex(dr, 1, [0], [0])
-    mat, _ = block_D(idx1, BlockIndex(dr, 2, [0], [0]))
+    D, _ = block_D(idx1, BlockIndex(dr, 2, [0], [0]))
     nz = sum(1 for key in idx1.keys if key[1] == "Z")  # the Z columns come first
-    rows = [{k: _centered_int(v) for k, v in row.items() if k < nz} for row in mat.rows]
+    rows = [{k: _centered_int(v) for k, v in row.items() if k < nz} for row in D]
     if any(None in row.values() for row in rows):
         raise AmbiguousSolve("the fiber's one-form differential is not an integer matrix")
     kernel = [idx1.cochain({k: dr.field.from_int(m) for k, m in vec.items()})

@@ -207,31 +207,30 @@ def row_reduce(a: PrecMatrix, max_cols: int | None = None) -> EchelonResult:
 def solve(a: PrecMatrix, b: dict, floor_pi: int):
     """One solution of A x = b as a sparse dict, or None when certified unsolvable.
 
-    b is a sparse dict row-index -> KElement. Consistency is decided at the
-    pi-adic floor; an undecidable residual raises AmbiguousSolve.
+    b is a sparse dict row-index -> KElement, entered as the one column after
+    a. Consistency is decided at the pi-adic floor; an undecidable residual
+    raises AmbiguousSolve.
     """
-    return _solve_echelon(a, [b], floor_pi)[0][0]
+    aug = PrecMatrix(a.field, a.nrows, a.ncols + 1, [dict(r) for r in a.rows])
+    for i, v in b.items():
+        aug.set_entry(i, a.ncols, v)
+    return _solve_echelon(aug, a.ncols, floor_pi)[0][0]
 
 
-def _solve_echelon(a: PrecMatrix, bs: list, floor_pi: int):
-    """([solve(a, b, floor_pi) for b in bs], echelon of the one elimination
-    that decided them all).
+def _solve_echelon(aug: PrecMatrix, n: int, floor_pi: int):
+    """(one solution per right-hand side, echelon of the one elimination
+    that decided them all) for the augmented matrix aug: its first n columns
+    are A, and each column k >= n is a right-hand side b, whose solution is
+    what solve(A, b, floor_pi) gives.
 
-    The right-hand sides ride along as columns after a. Pivot choice in a
-    column never looks at them, so each gets the row operations it would get
-    alone, and the echelon has the pivots and ambiguity of row_reduce(a)
-    without a second pass."""
-    n = a.ncols
-    aug = PrecMatrix(a.field, a.nrows, n + len(bs), [dict(r) for r in a.rows])
-    for k, b in enumerate(bs, start=n):
-        for i, v in b.items():
-            if not v.is_prunable_zero():
-                aug.rows[i][k] = v
+    Pivot choice in a column never looks at the right-hand sides, so each
+    gets the row operations it would get alone, and the echelon has the
+    pivots and ambiguity of row_reduce(A) without a second pass."""
     res = row_reduce(aug, max_cols=n)
     pivot_rows = {r for r, _ in res.pivots}
     free_rows = [row for i, row in enumerate(res.echelon.rows) if i not in pivot_rows]
     sols = []
-    for k in range(n, n + len(bs)):
+    for k in range(n, aug.ncols):
         for row in free_rows:
             v = row.get(k)
             if v is not None and not v.is_zero_at(floor_pi):

@@ -13,7 +13,7 @@ from tatehk.cech import (SLACK, BlockIndex, CechCochain, CechSpec, cech_D,
                          cochain_blocks, express_in_classes, h_ranks,
                          hk_D_rows, operator_int_rows, operator_matrix,
                          top_class, unit_class, _block_h_direct,
-                         _hk_solve, _hk_system, _solve_indices)
+                         _hk_solve, _system, _solve_indices)
 from tatehk.errors import (AmbiguousPivot, AmbiguousSolve, ChartMismatch,
                            NotACoboundary, NotInSpan, TaintedWindow)
 from tatehk.field import FieldDescriptor, KElement, parse_eisenstein
@@ -185,6 +185,37 @@ def test_tainted_window_is_refused():
     assert target.overflow
     with pytest.raises(TaintedWindow):
         express_in_classes(target, [top_class(spec)])
+
+
+def test_dr_tainted_window_is_refused():
+    """On dr, a target or a class carrying a fiber monomial past T taints its
+    system: express_in_classes and coboundary_witness raise TaintedWindow,
+    and with allow_tainted=True solve as the cochain without that monomial."""
+    spec = dr_spec(2, S=3, T=3)
+    one, floor_pi = RAM.one(), cech.cert_floor(RAM)
+
+    def tainted(c):
+        # w^(T+1) on the first Z chart leaves the window: dropped, and flagged
+        c.zpart[0] = c.zpart[0] + spec.monomial_part(
+            "Z", 1, c.degree, 0, spec.T + 1, 0, 0, one)
+        assert c.overflow
+        return c
+
+    e1, e2 = class_e1(spec), class_e2(spec)
+    for target, classes in ((tainted(class_e1(spec)), [e1, e2]),
+                            (e1, [tainted(class_e1(spec)), e2])):
+        with pytest.raises(TaintedWindow):
+            express_in_classes(target, classes)
+        coords, _ = express_in_classes(target, classes, allow_tainted=True)
+        assert (coords[0] - one).is_zero_at(floor_pi)
+        assert coords[1].is_zero_at(floor_pi)
+    c = CechCochain.zero(spec, 0)
+    c.zpart[0] = spec.monomial_part("Z", 1, 0, 0, 0, 0, 0, one)
+    target = tainted(cech_D(c))  # on the piece, like every system above
+    with pytest.raises(TaintedWindow):
+        coboundary_witness(target)
+    witness = coboundary_witness(target, allow_tainted=True)
+    assert (cech_D(witness) - target).is_zero_at(floor_pi)
 
 
 def test_h_ranks():
@@ -526,7 +557,7 @@ def test_integer_and_padic_operator_matrices_agree():
         e1, e2 = class_e1(spec), class_e2(spec)
         for target, classes in ((cech_frobenius(e2), [e1, e2]),
                                 (cech_frobenius(top_class(spec)), [top_class(spec)])):
-            src, tgt, rows, _ = _hk_system([target], classes)
+            src, tgt, rows, _ = _system([target], classes)
             mat, _ = operator_matrix(src, tgt, cech_D)
             vectors = [tgt.vector(c) for c in (*classes, target)]
             for i, (irow, row) in enumerate(zip(rows, mat.rows)):
@@ -603,7 +634,7 @@ def test_hk_class_solve_matches_fraction_oracle():
         # classes); cols and tgt.pos carry its columns and rows to the
         # oracle's, where they are the oracle's rows at those keys, and no
         # other oracle row meets its columns
-        gsrc, gtgt, got_rows, _ = _hk_system([target], classes)
+        gsrc, gtgt, got_rows, _ = _system([target], classes)
         cols = [src.pos[k] for k in (gsrc.keys if degree else ())] \
             + list(range(nsrc, nb + 1))
         lifted = {tgt.pos[key]: {cols[c]: v for c, v in row.items()}
@@ -809,5 +840,5 @@ def test_dr_piece_differential_reads_as_integers(field):
         idx1 = BlockIndex(spec, 1, [0], [0])
         D, _ = cech.block_D(idx1, BlockIndex(spec, 2, [0], [0]))
         assert [key[1] for key in idx1.keys] == ["Z"] * r + ["W"] * r
-        values = {cech._centered_int(v) for row in D.rows for v in row.values()}
+        values = {cech._centered_int(v) for row in D for v in row.values()}
         assert values == (set() if r == 1 else {-1, 1})

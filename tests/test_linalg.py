@@ -185,7 +185,9 @@ def test_solve_echelon_matches_row_reduce():
                         m.rows[i].pop(col, None)
             b = {i: fld.from_int(rng.randint(-9, 9)) for i in range(nrows)
                  if rng.random() < 0.7}
-            (sol,), res = _solve_echelon(m, [b], 1)
+            aug = PrecMatrix.from_rows(fld, [[m.entry(i, j) for j in range(ncols)]
+                                             + [b.get(i, fld.zero())] for i in range(nrows)])
+            (sol,), res = _solve_echelon(aug, ncols, 1)
             ref = row_reduce(m)
             assert res.pivots == ref.pivots
             assert res.ambiguity == ref.ambiguity

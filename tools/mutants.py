@@ -52,8 +52,12 @@ MUTANTS = (
      "if sum(1 for _, c in res.pivots if c >= nsrc) < len(classes):",
      "if False:"),
     ("dr residual at floor - 3", "src/tatehk/cech.py",
-     "for t in targets],\n                                 cert_floor(field))",
-     "for t in targets],\n                                 cert_floor(field) - 3)"),
+     "xs, res = _solve_echelon(aug, nb, cert_floor(field))",
+     "xs, res = _solve_echelon(aug, nb, cert_floor(field) - 3)"),
+    ("_system reads dr entries with _centered_int", "src/tatehk/cech.py",
+     "m = _centered_int(coeff) if hk else coeff", "m = _centered_int(coeff)"),
+    ("_system drops class and target overflow", "src/tatehk/cech.py",
+     "tainted = tainted or c.overflow", "tainted = tainted"),
     ("is_cocycle at floor - 3", "src/tatehk/cech.py",
      "image.is_zero_at(cert_floor(c.spec.field))",
      "image.is_zero_at(cert_floor(c.spec.field) - 3)"),
